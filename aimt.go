@@ -305,9 +305,6 @@ type ServeCurveOptions = serve.CurveOptions
 // per run; see serve.SchedulerSpec.
 type SchedulerSpec = serve.SchedulerSpec
 
-// ServePhase tags a stream entry's request phase; see serve.Phase.
-type ServePhase = serve.Phase
-
 // Request phases for multi-phase (transformer) serving streams.
 const (
 	// ServeSinglePhase marks a classic one-shot request.
@@ -317,10 +314,6 @@ const (
 	// ServeDecodePhase marks one autoregressive decode iteration.
 	ServeDecodePhase = serve.PhaseDecode
 )
-
-// ServePhaseStats is one phase's row in a serving report; see
-// serve.PhaseStats.
-type ServePhaseStats = serve.PhaseStats
 
 // DefaultServingClasses returns the default mixed CNN/RNN serving mix.
 func DefaultServingClasses() []ServeClass { return serve.DefaultClasses() }
@@ -361,24 +354,25 @@ func ServeLoadCurve(cfg Config, classes []ServeClass, schedulers []SchedulerSpec
 	return serve.LoadCurve(cfg, classes, schedulers, opts)
 }
 
-// ServePreemptiveAIMT returns the full AI-MT stack with the stream's
-// class priorities driving cross-request preemption: higher-priority
-// requests may halt a lower class's executing compute block via the
-// CB-split path. With uniform priorities it is bit-identical to the
-// plain AI-MT spec.
-func ServePreemptiveAIMT() SchedulerSpec { return serve.PreemptiveAIMT() }
+// ServeSchedulers returns every scheduler of the table as a serving
+// spec, opt-in ones (Lookahead, AI-MT+Prio, the baselines) included.
+func ServeSchedulers() []SchedulerSpec { return serve.Schedulers() }
 
-// ServeLookaheadAIMT returns the speculative lookahead scheduler over
-// the full AI-MT stack as a serving spec; horizon <= 0 uses the
-// default. Opt-in (it is not in ServeStandardSchedulers) because each
-// contested decision simulates both branches a horizon ahead.
-func ServeLookaheadAIMT(horizon Cycles) SchedulerSpec { return serve.LookaheadAIMT(horizon) }
-
-// BuildServeReportShed folds a simulation result into a report where
-// admission control shed some requests; see serve.BuildReportShed.
-func BuildServeReportShed(s *ServeStream, res *Result, shed []bool) *ServeReport {
-	return serve.BuildReportShed(s, res, shed)
+// ServePreemptiveAIMT returns the table's AI-MT+Prio spec: the full
+// AI-MT stack with the stream's class priorities driving cross-request
+// preemption. Higher-priority requests may halt a lower class's
+// executing compute block via the CB-split path; with uniform
+// priorities it is bit-identical to the plain AI-MT spec.
+func ServePreemptiveAIMT() SchedulerSpec {
+	spec, _ := serve.SchedulerByName("AI-MT+Prio") // a table entry: cannot fail
+	return spec
 }
+
+// ServeSchedulerByName resolves a serving spec by display name or
+// command-line alias, ignoring case: "AI-MT+Prio" (class priorities
+// drive cross-request preemption), "lookahead" (speculative lookahead
+// over the full AI-MT stack), "aimt-pf" and so on.
+func ServeSchedulerByName(name string) (SchedulerSpec, error) { return serve.SchedulerByName(name) }
 
 // ServeProcess selects a stream's arrival process; see serve.Process.
 type ServeProcess = serve.Process
@@ -427,18 +421,13 @@ type ClusterCurvePoint = cluster.CurvePoint
 // serve path is bit-identical to the uncontrolled cluster.
 type ClusterControl = cluster.Control
 
-// ClusterPolicies returns every built-in routing policy: round-robin,
+// ClusterPolicies returns the standard routing policies: round-robin,
 // least-work, class-affinity and deadline.
 func ClusterPolicies() []ClusterPolicySpec { return cluster.Policies() }
 
-// ClusterPolicyByName resolves a routing policy spec from its name.
+// ClusterPolicyByName resolves a routing policy spec from its name,
+// opt-in "predictive" routing included.
 func ClusterPolicyByName(name string) (ClusterPolicySpec, error) { return cluster.ByName(name) }
-
-// ClusterDispatch routes every request of a stream to a chip under the
-// policy and returns the request-to-chip assignment.
-func ClusterDispatch(s *ServeStream, pol ClusterPolicy, chips int) ([]int, error) {
-	return cluster.Dispatch(s, pol, chips)
-}
 
 // ClusterServe routes a stream across a simulated multi-chip cluster
 // and runs every chip's sub-stream on its own engine, reporting
@@ -478,9 +467,6 @@ type ObsRegistry = obs.Registry
 // occupancy and stall attribution; see obs.Ledger.
 type ObsLedger = obs.Ledger
 
-// ObsDecision is one ledger entry; see obs.Decision.
-type ObsDecision = obs.Decision
-
 // NewObsRegistry returns an empty observability registry.
 func NewObsRegistry() *ObsRegistry { return obs.NewRegistry() }
 
@@ -503,15 +489,9 @@ func ObsHandler(reg *ObsRegistry, led *ObsLedger) *http.ServeMux { return obs.Ha
 // see runstore.Run.
 type StoredRun = runstore.Run
 
-// RunMetric is one measured value of a run; see runstore.Metric.
-type RunMetric = runstore.Metric
-
 // RunStore is an append-only run log under one directory, tolerant of
 // torn trailing writes; see runstore.Store.
 type RunStore = runstore.Store
-
-// RunQuery filters runs by source and labels; see runstore.Query.
-type RunQuery = runstore.Query
 
 // RunDiff is a metric-by-metric comparison of two runs against a
 // noise threshold; see runstore.Diff.
@@ -556,10 +536,6 @@ type RequestTraceOptions = rtrace.Options
 // RequestSpan is one request's end-to-end attributed trace; its
 // segments sum exactly to its latency; see rtrace.RequestSpan.
 type RequestSpan = rtrace.RequestSpan
-
-// RequestSegment is one attributed share of a request's latency; see
-// rtrace.Segment.
-type RequestSegment = rtrace.Segment
 
 // RequestAttribution is one row of the latency-attribution report;
 // see rtrace.Attribution.
@@ -621,10 +597,4 @@ func RecordServeCurve(st *RunStore, mix, process, commit string, points []ServeC
 // of a cluster sweep to the store; see cluster.RecordCurve.
 func RecordClusterCurve(st *RunStore, mix, process, commit string, points []ClusterCurvePoint) ([]StoredRun, error) {
 	return cluster.RecordCurve(st, mix, process, commit, points)
-}
-
-// RecordSweepOutcomes appends one run per successful sweep outcome to
-// the store; see sweep.RecordOutcomes.
-func RecordSweepOutcomes(st *RunStore, commit string, labels map[string]string, outs []SweepOutcome) ([]StoredRun, error) {
-	return sweep.RecordOutcomes(st, commit, labels, outs)
 }

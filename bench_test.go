@@ -8,6 +8,7 @@ import (
 	"aimt/internal/metrics"
 	"aimt/internal/nn"
 	"aimt/internal/power"
+	"aimt/internal/sched"
 	"aimt/internal/workload"
 )
 
@@ -408,19 +409,15 @@ func BenchmarkExtensionMultiTenancy(b *testing.B) {
 		}
 		alone[i] = res.Makespan
 	}
-	for _, tc := range []struct {
-		name string
-		mk   func() Scheduler
-	}{
-		{"FIFO", func() Scheduler { return NewFIFO() }},
-		{"PREMA", func() Scheduler { return NewPREMA(nil) }},
-		{"AI-MT", func() Scheduler { return NewAIMT(cfg, AllMechanisms()) }},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
+	for _, e := range sched.Table() {
+		if e.OptIn {
+			continue
+		}
+		b.Run(e.Name, func(b *testing.B) {
 			var res *Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = Run(cfg, mix.Nets, tc.mk(), RunOptions{})
+				res, err = Run(cfg, mix.Nets, e.New(cfg, sched.Mix(mix.MemHeavy)), RunOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -13,6 +13,7 @@
 //	aimt-serve -process bursty         # bursty arrivals
 //	aimt-serve -sched FIFO,EDF         # subset of schedulers
 //	aimt-serve -sched lookahead        # opt-in speculative lookahead
+//	aimt-serve -sched RR,aimt-pf       # any scheduler-table name or alias
 //	aimt-serve -cpuprofile cpu.pprof   # profile the sweep (pprof)
 //
 // With -chips N (or -route) the sweep runs against a simulated
@@ -91,6 +92,7 @@ import (
 
 	"aimt"
 	"aimt/internal/profiling"
+	"aimt/internal/serve"
 )
 
 type options struct {
@@ -126,7 +128,7 @@ func main() {
 	flag.IntVar(&opts.requests, "requests", 10_000, "requests per load point")
 	flag.StringVar(&opts.process, "process", "poisson", "arrival process: poisson or bursty")
 	flag.StringVar(&opts.loads, "loads", "", "comma-separated offered loads (empty = default sweep)")
-	flag.StringVar(&opts.scheds, "sched", "", "comma-separated scheduler subset (empty = all standard; 'lookahead' opts into the speculative scheduler)")
+	flag.StringVar(&opts.scheds, "sched", "", "comma-separated scheduler-table names (empty = the standard set; opt-in entries such as 'lookahead' run only when named)")
 	flag.Int64Var(&opts.seed, "seed", 7, "stream seed")
 	flag.IntVar(&opts.parallel, "parallel", 0, "simulation worker pool size (0 = GOMAXPROCS)")
 	flag.BoolVar(&opts.check, "check", false, "run the machine-model invariant checker on every simulation")
@@ -161,63 +163,114 @@ func main() {
 	}
 }
 
-// validate rejects bad flag combinations before any simulation work,
-// returning the parsed -loads factors and -route policy selection.
-func validate(opts options) ([]float64, []aimt.ClusterPolicySpec, error) {
+// selection is the validated command line: the parsed -loads factors
+// and the scheduler and routing-policy tables resolved against -sched
+// and -route.
+type selection struct {
+	loads      []float64
+	schedulers []aimt.SchedulerSpec
+	policies   []aimt.ClusterPolicySpec
+}
+
+// validate rejects bad flag combinations before any simulation work.
+func validate(opts options) (selection, error) {
+	var sel selection
 	if opts.requests <= 0 {
-		return nil, nil, fmt.Errorf("-requests must be positive, got %d", opts.requests)
+		return sel, fmt.Errorf("-requests must be positive, got %d", opts.requests)
 	}
 	if opts.chips < 1 {
-		return nil, nil, fmt.Errorf("-chips must be at least 1, got %d", opts.chips)
+		return sel, fmt.Errorf("-chips must be at least 1, got %d", opts.chips)
 	}
 	if opts.parallel < 0 {
-		return nil, nil, fmt.Errorf("-parallel must be non-negative, got %d", opts.parallel)
+		return sel, fmt.Errorf("-parallel must be non-negative, got %d", opts.parallel)
 	}
 	switch strings.ToLower(opts.process) {
 	case "", "poisson", "bursty":
 	default:
-		return nil, nil, fmt.Errorf("unknown -process %q (want poisson or bursty)", opts.process)
+		return sel, fmt.Errorf("unknown -process %q (want poisson or bursty)", opts.process)
 	}
-	var loads []float64
 	if opts.loads != "" {
 		for _, f := range strings.Split(opts.loads, ",") {
 			load, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-			if err != nil || load <= 0 {
-				return nil, nil, errors.New("-loads values must be positive numbers, got " + strconv.Quote(f))
+			if err != nil || serve.CheckLoad(load) != nil {
+				return sel, errors.New("-loads values must be positive finite numbers, got " + strconv.Quote(f))
 			}
-			loads = append(loads, load)
+			sel.loads = append(sel.loads, load)
 		}
 	}
-	var policies []aimt.ClusterPolicySpec
+	var err error
+	if sel.schedulers, err = selectSchedulers(opts.scheds); err != nil {
+		return sel, err
+	}
 	if opts.route != "" {
 		for _, n := range strings.Split(opts.route, ",") {
 			pspec, err := aimt.ClusterPolicyByName(strings.ToLower(strings.TrimSpace(n)))
 			if err != nil {
-				return nil, nil, fmt.Errorf("-route: %w", err)
+				return sel, fmt.Errorf("-route: %w", err)
 			}
-			policies = append(policies, pspec)
+			sel.policies = append(sel.policies, pspec)
 		}
 	}
 	if opts.hold < 0 {
-		return nil, nil, fmt.Errorf("-hold must be non-negative, got %v", opts.hold)
+		return sel, fmt.Errorf("-hold must be non-negative, got %v", opts.hold)
 	}
 	if opts.decode < -1 {
-		return nil, nil, fmt.Errorf("-decode must be non-negative, got %d", opts.decode)
+		return sel, fmt.Errorf("-decode must be non-negative, got %d", opts.decode)
 	}
 	if opts.decode >= 0 && !opts.transformer {
-		return nil, nil, errors.New("-decode requires -transformer")
+		return sel, errors.New("-decode requires -transformer")
 	}
 	if opts.hold > 0 && opts.admin == "" {
-		return nil, nil, errors.New("-hold requires -admin")
+		return sel, errors.New("-hold requires -admin")
 	}
 	if opts.rtrace < -1 {
-		return nil, nil, fmt.Errorf("-rtrace must be -1 (auto), 0 (off) or a positive sampling divisor, got %d", opts.rtrace)
+		return sel, fmt.Errorf("-rtrace must be -1 (auto), 0 (off) or a positive sampling divisor, got %d", opts.rtrace)
 	}
-	return loads, policies, nil
+	return sel, nil
+}
+
+// selectSchedulers resolves the comma-separated -sched names against
+// the scheduler table, in table order without duplicates; empty means
+// the standard comparison set. Opt-in entries such as the speculative
+// lookahead scheduler run only when named: every contested decision
+// costs two horizon-length forward simulations.
+func selectSchedulers(list string) ([]aimt.SchedulerSpec, error) {
+	if list == "" {
+		return aimt.ServeStandardSchedulers(), nil
+	}
+	keep := map[string]bool{}
+	for _, n := range strings.Split(list, ",") {
+		spec, err := aimt.ServeSchedulerByName(strings.TrimSpace(n))
+		if err != nil {
+			return nil, fmt.Errorf("-sched: %w", err)
+		}
+		keep[spec.Name] = true
+	}
+	var sel []aimt.SchedulerSpec
+	for _, s := range aimt.ServeSchedulers() {
+		if keep[s.Name] {
+			sel = append(sel, s)
+		}
+	}
+	return sel, nil
+}
+
+// clusterScheduler returns the per-chip scheduler of cluster mode: the
+// first -sched selection, or AI-MT by default — preemptive AI-MT+Prio
+// with -priorities, so the premium band can displace executing batch
+// work.
+func clusterScheduler(opts options, selected []aimt.SchedulerSpec) (aimt.SchedulerSpec, error) {
+	if opts.scheds != "" {
+		return selected[0], nil
+	}
+	if opts.prios {
+		return aimt.ServePreemptiveAIMT(), nil
+	}
+	return aimt.ServeSchedulerByName("AI-MT")
 }
 
 func run(opts options) error {
-	loads, policies, err := validate(opts)
+	sel, err := validate(opts)
 	if err != nil {
 		return err
 	}
@@ -239,28 +292,6 @@ func run(opts options) error {
 	sopts := aimt.ServeStreamOptions{Requests: opts.requests, Seed: opts.seed}
 	if strings.EqualFold(opts.process, "bursty") {
 		sopts.Process = aimt.ServeBursty
-	}
-
-	schedulers := aimt.ServeStandardSchedulers()
-	if opts.scheds != "" {
-		// The speculative lookahead scheduler is selectable by name but
-		// not part of the default sweep: every contested decision costs
-		// two horizon-length forward simulations.
-		available := append(schedulers, aimt.ServeLookaheadAIMT(0))
-		keep := map[string]bool{}
-		for _, n := range strings.Split(opts.scheds, ",") {
-			keep[strings.ToUpper(strings.TrimSpace(n))] = true
-		}
-		var sel []aimt.SchedulerSpec
-		for _, s := range available {
-			if keep[strings.ToUpper(s.Name)] {
-				sel = append(sel, s)
-			}
-		}
-		if len(sel) == 0 {
-			return fmt.Errorf("no scheduler matches %q", opts.scheds)
-		}
-		schedulers = sel
 	}
 
 	// Run history: every report of the sweep is appended here, and the
@@ -331,20 +362,9 @@ func run(opts options) error {
 	// cluster mode the loads are per chip: N chips at load L absorb an
 	// aggregate arrival rate N*L, so the stream gap shrinks by N.
 	var gaps []aimt.Cycles
-	if len(loads) > 0 {
-		probeOpts := sopts
-		probeOpts.Requests = 1
-		probeOpts.MeanGap = 1
-		probe, err := aimt.NewServeStream(cfg, classes, probeOpts)
-		if err != nil {
+	if len(sel.loads) > 0 {
+		if gaps, err = serve.LoadGaps(cfg, classes, sopts, opts.chips, sel.loads); err != nil {
 			return err
-		}
-		for _, load := range loads {
-			gap := aimt.Cycles(probe.MeanService / (load * float64(opts.chips)))
-			if gap < 1 {
-				gap = 1
-			}
-			gaps = append(gaps, gap)
 		}
 	}
 
@@ -352,21 +372,12 @@ func run(opts options) error {
 		opts.admission || opts.prios || opts.autoscale
 	if clusterMode {
 		// Cluster mode compares routing policies under one per-chip
-		// scheduler: the first -sched selection, or AI-MT by default
-		// (preemptive AI-MT when -priorities is on, so the premium
-		// band can displace executing batch work).
-		spec := schedulers[0]
-		if opts.scheds == "" {
-			for _, s := range schedulers {
-				if s.Name == "AI-MT" {
-					spec = s
-				}
-			}
-			if opts.prios {
-				spec = aimt.ServePreemptiveAIMT()
-			}
+		// scheduler.
+		var spec aimt.SchedulerSpec
+		if spec, err = clusterScheduler(opts, sel.schedulers); err != nil {
+			return err
 		}
-		err = runCluster(cfg, classes, spec, policies, gaps, sopts, reg, led, store, rstore, mixName, opts)
+		err = runCluster(cfg, classes, spec, sel.policies, gaps, sopts, reg, led, store, rstore, mixName, opts)
 	} else {
 		copts := aimt.ServeCurveOptions{
 			Stream: sopts, Gaps: gaps, Workers: opts.parallel,
@@ -374,7 +385,7 @@ func run(opts options) error {
 			Trace: rstore,
 		}
 		var points []aimt.ServeCurvePoint
-		points, err = aimt.ServeLoadCurve(cfg, classes, schedulers, copts)
+		points, err = aimt.ServeLoadCurve(cfg, classes, sel.schedulers, copts)
 		if err == nil {
 			fmt.Printf("Serving load sweep: %s mix, %d requests per point, %s arrivals\n\n", mixName, opts.requests, opts.process)
 			err = aimt.PrintServeCurve(os.Stdout, points)

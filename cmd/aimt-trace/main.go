@@ -27,6 +27,7 @@ import (
 	"os"
 
 	"aimt"
+	"aimt/internal/sched"
 	"aimt/internal/trace"
 	"aimt/internal/workload"
 )
@@ -34,7 +35,7 @@ import (
 func main() {
 	var (
 		mixSpec     = flag.String("mix", "RN50/GNMT", "co-location spec: compute nets / memory nets")
-		sched       = flag.String("sched", "aimt-all", "scheduler: fifo|rr|greedy|sjf|aimt-pf|aimt-merge|aimt-all")
+		schedName   = flag.String("sched", "aimt-all", "scheduler table name: fifo|rr|greedy|sjf|compute-first|aimt-pf|aimt-merge|aimt-all|...")
 		batch       = flag.Int("batch", 1, "batch size")
 		width       = flag.Int("width", 100, "Gantt chart width in columns")
 		jsonOut     = flag.String("json", "", "write Chrome trace_event JSON to this file")
@@ -51,7 +52,7 @@ func main() {
 	if *requests > 0 {
 		err = runRequests(*requests, *chips, *load, *seed, *transformer, *jsonOut)
 	} else {
-		err = run(*mixSpec, *sched, *batch, *width, *jsonOut, *util)
+		err = run(*mixSpec, *schedName, *batch, *width, *jsonOut, *util)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "aimt-trace:", err)
@@ -70,11 +71,9 @@ func runRequests(requests, chips int, load float64, seed int64, transformer bool
 		classes = aimt.TransformerServingClasses()
 		mixName = "transformer/CNN"
 	}
-	var spec aimt.SchedulerSpec
-	for _, s := range aimt.ServeStandardSchedulers() {
-		if s.Name == "AI-MT" {
-			spec = s
-		}
+	spec, err := aimt.ServeSchedulerByName("AI-MT")
+	if err != nil {
+		return err
 	}
 
 	tr, err := aimt.ClusterTraceRequests(cfg, classes, spec, requests, chips, load, seed)
@@ -117,7 +116,7 @@ func runRequests(requests, chips int, load float64, seed int64, transformer bool
 	return nil
 }
 
-func run(mixSpec, sched string, batch, width int, jsonOut string, utilWindows int) error {
+func run(mixSpec, schedName string, batch, width int, jsonOut string, utilWindows int) error {
 	cfg := aimt.PaperConfig()
 	spec, err := workload.ParseSpec(mixSpec)
 	if err != nil {
@@ -128,25 +127,11 @@ func run(mixSpec, sched string, batch, width int, jsonOut string, utilWindows in
 		return err
 	}
 
-	var s aimt.Scheduler
-	switch sched {
-	case "fifo":
-		s = aimt.NewFIFO()
-	case "rr":
-		s = aimt.NewRR()
-	case "greedy":
-		s = aimt.NewGreedy()
-	case "sjf":
-		s = aimt.NewSJF()
-	case "aimt-pf":
-		s = aimt.NewAIMT(cfg, aimt.PrefetchOnly())
-	case "aimt-merge":
-		s = aimt.NewAIMT(cfg, aimt.PrefetchMerge())
-	case "aimt-all", "aimt":
-		s = aimt.NewAIMT(cfg, aimt.AllMechanisms())
-	default:
-		return fmt.Errorf("unknown scheduler %q", sched)
+	e, err := sched.Lookup(schedName)
+	if err != nil {
+		return err
 	}
+	s := e.New(cfg, sched.Mix(mix.MemHeavy))
 
 	rec := &trace.Recorder{}
 	res, err := aimt.Run(cfg, mix.Nets, s, aimt.RunOptions{Tracer: rec})

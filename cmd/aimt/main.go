@@ -7,8 +7,9 @@
 //	aimt -mix "RN34,RN50/GNMT" -sched aimt-all -batch 4
 //	aimt -mix "RN50/VGG16" -sched rr -sram 2MiB -v
 //
-// Scheduler names: fifo, rr, greedy, sjf, compute-first, aimt-pf,
-// aimt-merge, aimt-all.
+// Scheduler names are the scheduler table's display names or aliases,
+// in any case: fifo, rr, greedy, sjf, compute-first, aimt-pf,
+// aimt-merge, aimt-all, prema, edf, lookahead and the rest.
 package main
 
 import (
@@ -20,28 +21,29 @@ import (
 
 	"aimt"
 	"aimt/internal/isa"
+	"aimt/internal/sched"
 	"aimt/internal/workload"
 )
 
 func main() {
 	var (
-		mixSpec  = flag.String("mix", "RN50/GNMT", "co-location spec: compute nets / memory nets, comma-separated zoo names")
-		programs = flag.String("programs", "", "comma-separated .aimt binary programs (from aimt-compile) to run instead of -mix")
-		sched    = flag.String("sched", "aimt-all", "scheduler: fifo|rr|greedy|sjf|compute-first|aimt-pf|aimt-merge|aimt-all")
-		batch    = flag.Int("batch", 1, "batch size")
-		iters    = flag.Int("iterations", 1, "mix repetitions (continuous-arrival scenario)")
-		sram     = flag.String("sram", "", "weight SRAM size override, e.g. 512KiB, 2MiB")
-		verbose  = flag.Bool("v", false, "print per-network completion times")
+		mixSpec   = flag.String("mix", "RN50/GNMT", "co-location spec: compute nets / memory nets, comma-separated zoo names")
+		programs  = flag.String("programs", "", "comma-separated .aimt binary programs (from aimt-compile) to run instead of -mix")
+		schedName = flag.String("sched", "aimt-all", "scheduler table name: fifo|rr|greedy|sjf|compute-first|aimt-pf|aimt-merge|aimt-all|...")
+		batch     = flag.Int("batch", 1, "batch size")
+		iters     = flag.Int("iterations", 1, "mix repetitions (continuous-arrival scenario)")
+		sram      = flag.String("sram", "", "weight SRAM size override, e.g. 512KiB, 2MiB")
+		verbose   = flag.Bool("v", false, "print per-network completion times")
 	)
 	flag.Parse()
 
-	if err := run(*mixSpec, *programs, *sched, *batch, *iters, *sram, *verbose); err != nil {
+	if err := run(*mixSpec, *programs, *schedName, *batch, *iters, *sram, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "aimt:", err)
 		os.Exit(1)
 	}
 }
 
-func run(mixSpec, programs, sched string, batch, iters int, sram string, verbose bool) error {
+func run(mixSpec, programs, schedName string, batch, iters int, sram string, verbose bool) error {
 	cfg := aimt.PaperConfig()
 	if sram != "" {
 		sz, err := parseBytes(sram)
@@ -74,7 +76,7 @@ func run(mixSpec, programs, sched string, batch, iters int, sram string, verbose
 		mix = m
 	}
 
-	s, err := makeScheduler(sched, cfg, mix)
+	s, err := makeScheduler(schedName, cfg, mix)
 	if err != nil {
 		return err
 	}
@@ -106,27 +108,13 @@ func run(mixSpec, programs, sched string, batch, iters int, sram string, verbose
 	return nil
 }
 
+// makeScheduler resolves name against the scheduler table.
 func makeScheduler(name string, cfg aimt.Config, mix *workload.Mix) (aimt.Scheduler, error) {
-	switch name {
-	case "fifo":
-		return aimt.NewFIFO(), nil
-	case "rr":
-		return aimt.NewRR(), nil
-	case "greedy":
-		return aimt.NewGreedy(), nil
-	case "sjf":
-		return aimt.NewSJF(), nil
-	case "compute-first":
-		return aimt.NewComputeFirst(mix.MemHeavy), nil
-	case "aimt-pf":
-		return aimt.NewAIMT(cfg, aimt.PrefetchOnly()), nil
-	case "aimt-merge":
-		return aimt.NewAIMT(cfg, aimt.PrefetchMerge()), nil
-	case "aimt-all", "aimt":
-		return aimt.NewAIMT(cfg, aimt.AllMechanisms()), nil
-	default:
-		return nil, fmt.Errorf("unknown scheduler %q", name)
+	e, err := sched.Lookup(name)
+	if err != nil {
+		return nil, err
 	}
+	return e.New(cfg, sched.Mix(mix.MemHeavy)), nil
 }
 
 // loadPrograms builds a mix from binary .aimt program files produced

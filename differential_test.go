@@ -81,25 +81,7 @@ func TestFrontierDifferentialServeStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		schedulers := ServeStandardSchedulers()
-		for _, extra := range []struct {
-			name string
-			mk   func() Scheduler
-		}{
-			{"SerialFIFO", NewSerialFIFO},
-			{"RR", NewRR},
-			{"Greedy", NewGreedy},
-			{"Greedy+PF", NewGreedyPrefetch},
-			{"SJF", NewSJF},
-			{"AI-MT(PF)", func() Scheduler { return NewAIMT(cfg, PrefetchOnly()) }},
-			{"AI-MT(PF+Merge)", func() Scheduler { return NewAIMT(cfg, PrefetchMerge()) }},
-		} {
-			mk := extra.mk
-			schedulers = append(schedulers, SchedulerSpec{
-				Name: extra.name,
-				New:  func(Config, *ServeStream) Scheduler { return mk() },
-			})
-		}
+		schedulers := ServeSchedulers()
 		for _, spec := range schedulers {
 			rep, err := ServeRun(cfg, stream, spec.New(cfg, stream), RunOptions{CheckInvariants: true})
 			if err != nil {

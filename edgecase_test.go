@@ -2,6 +2,8 @@ package aimt
 
 import (
 	"testing"
+
+	"aimt/internal/sched"
 )
 
 // Edge-case sweep: every scheduling policy is driven through the
@@ -87,19 +89,20 @@ func TestEdgeCasesAllSchedulers(t *testing.T) {
 		t.Run(ec.name, func(t *testing.T) {
 			cfg := scenarioConfig(t, ec.sram)
 			nets, arrivals := ec.build(cfg)
-			for _, p := range allPolicies(cfg, len(nets)) {
-				res, err := Run(cfg, nets, p.mk(), RunOptions{
+			w := testWorkload{nets, propertyDeadlines(len(nets))}
+			for _, p := range sched.Table() {
+				res, err := Run(cfg, nets, p.New(cfg, w), RunOptions{
 					CheckInvariants: true,
 					Arrivals:        arrivals,
 				})
 				if ec.wantErr {
 					if err == nil {
-						t.Errorf("%s: no error on %s", p.name, ec.name)
+						t.Errorf("%s: no error on %s", p.Name, ec.name)
 					}
 					continue
 				}
 				if err != nil {
-					t.Errorf("%s: %v", p.name, err)
+					t.Errorf("%s: %v", p.Name, err)
 					continue
 				}
 				for i, fin := range res.NetFinish {
@@ -109,11 +112,11 @@ func TestEdgeCasesAllSchedulers(t *testing.T) {
 					}
 					if fin <= arr {
 						t.Errorf("%s: net %d finished at %d, not after its arrival %d",
-							p.name, i, fin, arr)
+							p.Name, i, fin, arr)
 					}
 				}
 				if ideal := IdealBound(nets); res.Makespan < ideal {
-					t.Errorf("%s: makespan %d below ideal bound %d", p.name, res.Makespan, ideal)
+					t.Errorf("%s: makespan %d below ideal bound %d", p.Name, res.Makespan, ideal)
 				}
 			}
 		})

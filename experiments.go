@@ -8,9 +8,11 @@ import (
 
 	"aimt/internal/analysis"
 	"aimt/internal/arch"
+	"aimt/internal/hdr"
 	"aimt/internal/metrics"
 	"aimt/internal/nn"
 	"aimt/internal/power"
+	"aimt/internal/sched"
 	"aimt/internal/serve"
 	"aimt/internal/sweep"
 	"aimt/internal/workload"
@@ -95,24 +97,36 @@ type MixOutcome struct {
 	Splits int
 }
 
+// tableJobs returns one sweep job per named scheduler-table entry over
+// the networks, each building a fresh scheduler (schedulers carry
+// state) from the workload's inputs. The names are fixed by the
+// drivers, so an unknown one is a programming error.
+func tableJobs(cfg Config, label string, nets []*Compiled, w sched.Workload, names ...string) []sweep.Job {
+	jobs := make([]sweep.Job, len(names))
+	for i, name := range names {
+		e, err := sched.Lookup(name)
+		if err != nil {
+			panic(err)
+		}
+		jobs[i] = sweep.Job{Mix: label, Scheduler: e.Name, Cfg: cfg, Nets: nets,
+			New: func() Scheduler { return e.New(cfg, w) }}
+	}
+	return jobs
+}
+
 // runMixes simulates every paper mix at the given batch under the
-// schedulers produced by mk (called fresh per run — schedulers carry
-// state) and returns outcomes keyed in input order. The runs — one
-// FIFO baseline plus one per name, per mix — fan out over the sweep
+// named scheduler-table entries and returns outcomes keyed in input
+// order, labelled with each scheduler's own name. The runs — one FIFO
+// baseline plus one per name, per mix — fan out over the sweep
 // engine's worker pool (see SetSweepParallelism).
-func runMixes(cfg Config, batch int, names []string, mk func(name string, mix *workload.Mix) Scheduler) ([]MixOutcome, error) {
+func runMixes(cfg Config, batch int, names ...string) ([]MixOutcome, error) {
 	var jobs []sweep.Job
 	for _, spec := range PaperMixes() {
 		mix, err := BuildMix(cfg, spec, batch)
 		if err != nil {
 			return nil, err
 		}
-		jobs = append(jobs, sweep.Job{Mix: mix.Name, Cfg: cfg, Nets: mix.Nets,
-			New: func() Scheduler { return NewFIFO() }})
-		for _, name := range names {
-			jobs = append(jobs, sweep.Job{Mix: mix.Name, Cfg: cfg, Nets: mix.Nets,
-				New: func() Scheduler { return mk(name, mix) }})
-		}
+		jobs = append(jobs, tableJobs(cfg, mix.Name, mix.Nets, sched.Mix(mix.MemHeavy), append([]string{"FIFO"}, names...)...)...)
 	}
 	outs, err := runSweep(jobs)
 	if err != nil {
@@ -125,7 +139,7 @@ func runMixes(cfg Config, batch int, names []string, mk func(name string, mix *w
 		for _, o := range outs[i+1 : i+stride] {
 			out = append(out, MixOutcome{
 				Mix:       o.Mix,
-				Scheduler: o.Scheduler,
+				Scheduler: o.Res.Scheduler,
 				Speedup:   metrics.Speedup(base, o.Res),
 				MemUtil:   o.Res.MemUtilization(),
 				PEUtil:    o.Res.PEUtilization(),
@@ -139,7 +153,7 @@ func runMixes(cfg Config, batch int, names []string, mk func(name string, mix *w
 // Fig7Data returns compute and memory-bandwidth utilization under the
 // round-robin scheduler for every paper mix (paper Fig 7).
 func Fig7Data(cfg Config) ([]MixOutcome, error) {
-	return runMixes(cfg, 1, []string{"RR"}, func(string, *workload.Mix) Scheduler { return NewRR() })
+	return runMixes(cfg, 1, "RR")
 }
 
 // PrintFig7 renders Fig 7.
@@ -159,16 +173,7 @@ func PrintFig7(w io.Writer, cfg Config) error {
 // Fig8Data returns RR, Greedy and SJF speedups over sub-layer FIFO for
 // every paper mix (paper Fig 8).
 func Fig8Data(cfg Config) ([]MixOutcome, error) {
-	return runMixes(cfg, 1, []string{"RR", "Greedy", "SJF"}, func(name string, _ *workload.Mix) Scheduler {
-		switch name {
-		case "RR":
-			return NewRR()
-		case "Greedy":
-			return NewGreedy()
-		default:
-			return NewSJF()
-		}
-	})
+	return runMixes(cfg, 1, "RR", "Greedy", "SJF")
 }
 
 // PrintFig8 renders Fig 8.
@@ -183,16 +188,7 @@ func PrintFig8(w io.Writer, cfg Config) error {
 // Fig14Data returns the AI-MT ablation — prefetching, +merging,
 // +eviction — as speedup over FIFO per mix at batch 1 (paper Fig 14).
 func Fig14Data(cfg Config) ([]MixOutcome, error) {
-	return runMixes(cfg, 1, []string{"PF", "Merge", "All"}, func(name string, _ *workload.Mix) Scheduler {
-		switch name {
-		case "PF":
-			return NewAIMT(cfg, PrefetchOnly())
-		case "Merge":
-			return NewAIMT(cfg, PrefetchMerge())
-		default:
-			return NewAIMT(cfg, AllMechanisms())
-		}
-	})
+	return runMixes(cfg, 1, "AI-MT(PF)", "AI-MT(PF+Merge)", "AI-MT")
 }
 
 // PrintFig14 renders Fig 14.
@@ -281,13 +277,7 @@ func Fig15Data(cfg Config, batches []int) ([]BatchPoint, error) {
 				return nil, err
 			}
 			label := fmt.Sprintf("%s@batch%d", spec.Name, b)
-			jobs = append(jobs,
-				sweep.Job{Mix: label, Cfg: cfg, Nets: mix.Nets,
-					New: func() Scheduler { return NewFIFO() }},
-				sweep.Job{Mix: label, Cfg: cfg, Nets: mix.Nets,
-					New: func() Scheduler { return NewAIMT(cfg, PrefetchMerge()) }},
-				sweep.Job{Mix: label, Cfg: cfg, Nets: mix.Nets,
-					New: func() Scheduler { return NewAIMT(cfg, AllMechanisms()) }})
+			jobs = append(jobs, tableJobs(cfg, label, mix.Nets, sched.Mix(mix.MemHeavy), "FIFO", "AI-MT(PF+Merge)", "AI-MT")...)
 		}
 	}
 	outs, err := runSweep(jobs)
@@ -359,15 +349,7 @@ func Fig16Data(cfg Config, sizes []Bytes) ([]SRAMPoint, error) {
 			return nil, err
 		}
 		label := fmt.Sprintf("%s@%s", mix.Name, arch.FormatBytes(sz))
-		jobs = append(jobs,
-			sweep.Job{Mix: label, Cfg: c, Nets: mix.Nets,
-				New: func() Scheduler { return NewFIFO() }},
-			sweep.Job{Mix: label, Scheduler: "ComputeFirst+PF", Cfg: c, Nets: mix.Nets,
-				New: func() Scheduler { return NewComputeFirst(mix.MemHeavy) }},
-			sweep.Job{Mix: label, Scheduler: "Greedy+PF", Cfg: c, Nets: mix.Nets,
-				New: func() Scheduler { return NewGreedyPrefetch() }},
-			sweep.Job{Mix: label, Scheduler: "AI-MT", Cfg: c, Nets: mix.Nets,
-				New: func() Scheduler { return NewAIMT(c, AllMechanisms()) }})
+		jobs = append(jobs, tableJobs(c, label, mix.Nets, sched.Mix(mix.MemHeavy), "FIFO", "ComputeFirst+PF", "Greedy+PF", "AI-MT")...)
 	}
 	outs, err := runSweep(jobs)
 	if err != nil {
@@ -469,18 +451,9 @@ func ServingData(cfg Config) ([]ServingPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	runs := []struct {
-		name string
-		mk   func() Scheduler
-	}{
-		{"FIFO", func() Scheduler { return NewFIFO() }},
-		{"PREMA", func() Scheduler { return NewPREMA(nil) }},
-		{"AI-MT", func() Scheduler { return NewAIMT(cfg, AllMechanisms()) }},
-	}
-	var jobs []sweep.Job
-	for _, r := range runs {
-		jobs = append(jobs, sweep.Job{Mix: "serving", Scheduler: r.name, Cfg: cfg,
-			Nets: stream.Nets, New: r.mk, Opts: RunOptions{Arrivals: stream.Arrivals}})
+	jobs := tableJobs(cfg, "serving", stream.Nets, sched.Mix(nil), "FIFO", "PREMA", "AI-MT")
+	for i := range jobs {
+		jobs[i].Opts = RunOptions{Arrivals: stream.Arrivals}
 	}
 	outs, err := runSweep(jobs)
 	if err != nil {
@@ -488,7 +461,7 @@ func ServingData(cfg Config) ([]ServingPoint, error) {
 	}
 	var out []ServingPoint
 	for _, o := range outs {
-		var h metrics.Histogram
+		var h hdr.Histogram
 		for _, lat := range metrics.Latencies(o.Res) {
 			h.Record(lat)
 		}
@@ -574,19 +547,18 @@ type ClusterScalePoint struct {
 // policy.
 func ClusterScaleData(cfg Config) ([]ClusterScalePoint, error) {
 	classes := DefaultServingClasses()
-	probe, err := NewServeStream(cfg, classes, ServeStreamOptions{Requests: 1, MeanGap: 1, Seed: 7})
+	gaps, err := serve.LoadGaps(cfg, classes, ServeStreamOptions{Seed: 7}, 1, []float64{ClusterScaleLoad})
 	if err != nil {
 		return nil, err
 	}
-	gap := Cycles(probe.MeanService / ClusterScaleLoad)
-	if gap < 1 {
-		gap = 1
-	}
-	stream, err := NewServeStream(cfg, classes, ServeStreamOptions{Requests: 320, MeanGap: gap, Seed: 7})
+	stream, err := NewServeStream(cfg, classes, ServeStreamOptions{Requests: 320, MeanGap: gaps[0], Seed: 7})
 	if err != nil {
 		return nil, err
 	}
-	spec := SchedulerSpec{Name: "AI-MT", New: func(c Config, _ *ServeStream) Scheduler { return NewAIMT(c, AllMechanisms()) }}
+	spec, err := ServeSchedulerByName("AI-MT")
+	if err != nil {
+		return nil, err
+	}
 	var out []ClusterScalePoint
 	for _, pol := range ClusterPolicies() {
 		for _, chips := range ClusterScaleChips {
@@ -685,7 +657,7 @@ type OverloadPoint struct {
 // in growing, predictable proportion.
 func OverloadCurveData(cfg Config) ([]OverloadPoint, error) {
 	classes := OverloadClasses()
-	probe, err := NewServeStream(cfg, classes, ServeStreamOptions{Requests: 1, MeanGap: 1, Seed: 7})
+	gaps, err := serve.LoadGaps(cfg, classes, ServeStreamOptions{Seed: 7}, OverloadChips, OverloadLoads)
 	if err != nil {
 		return nil, err
 	}
@@ -694,12 +666,8 @@ func OverloadCurveData(cfg Config) ([]OverloadPoint, error) {
 		return nil, err
 	}
 	var out []OverloadPoint
-	for _, load := range OverloadLoads {
-		gap := Cycles(probe.MeanService / (load * float64(OverloadChips)))
-		if gap < 1 {
-			gap = 1
-		}
-		stream, err := NewServeStream(cfg, classes, ServeStreamOptions{Requests: 300, MeanGap: gap, Seed: 7})
+	for i, load := range OverloadLoads {
+		stream, err := NewServeStream(cfg, classes, ServeStreamOptions{Requests: 300, MeanGap: gaps[i], Seed: 7})
 		if err != nil {
 			return nil, err
 		}
@@ -800,26 +768,26 @@ type DecodeBatchPoint struct {
 // tokens per megacycle must rise with the batch size while the
 // per-token deadline ladder keeps latency honest.
 func DecodeBatchCurveData(cfg Config) ([]DecodeBatchPoint, error) {
+	spec, err := ServeSchedulerByName("AI-MT")
+	if err != nil {
+		return nil, err
+	}
 	var out []DecodeBatchPoint
 	for _, batch := range DecodeBatchSizes {
 		classes := []ServeClass{TransformerChatServeClass(8, batch)}
-		probe, err := NewServeStream(cfg, classes, ServeStreamOptions{Requests: 1, MeanGap: 1, Seed: 7})
+		gaps, err := serve.LoadGaps(cfg, classes, ServeStreamOptions{Seed: 7}, 1, []float64{DecodeBatchLoad})
 		if err != nil {
 			return nil, err
 		}
-		gap := Cycles(probe.MeanService / DecodeBatchLoad)
-		if gap < 1 {
-			gap = 1
-		}
-		stream, err := NewServeStream(cfg, classes, ServeStreamOptions{Requests: 96, MeanGap: gap, Seed: 7})
+		stream, err := NewServeStream(cfg, classes, ServeStreamOptions{Requests: 96, MeanGap: gaps[0], Seed: 7})
 		if err != nil {
 			return nil, err
 		}
-		rep, err := ServeRun(cfg, stream, NewAIMT(cfg, AllMechanisms()), RunOptions{})
+		rep, err := ServeRun(cfg, stream, spec.New(cfg, stream), RunOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("decodebatch batch %d: %w", batch, err)
 		}
-		rep.Scheduler = "AI-MT"
+		rep.Scheduler = spec.Name
 		out = append(out, DecodeBatchPoint{Batch: batch, Rep: rep})
 	}
 	return out, nil
@@ -905,8 +873,7 @@ func LookaheadData(cfg Config) ([]LookaheadPoint, error) {
 				return nil, err
 			}
 			label := fmt.Sprintf("%s@batch%d", mix.Name, batch)
-			jobs = append(jobs, sweep.Job{Mix: label, Cfg: cfg, Nets: mix.Nets,
-				New: func() Scheduler { return NewAIMT(cfg, AllMechanisms()) }})
+			jobs = append(jobs, tableJobs(cfg, label, mix.Nets, sched.Mix(mix.MemHeavy), "AI-MT")...)
 			for _, h := range LookaheadHorizons {
 				jobs = append(jobs, sweep.Job{Mix: label, Cfg: cfg, Nets: mix.Nets,
 					New: func() Scheduler { return NewLookahead(NewAIMT(cfg, AllMechanisms()), h) }})

@@ -3,6 +3,9 @@ package aimt
 import (
 	"fmt"
 	"testing"
+
+	"aimt/internal/cluster"
+	"aimt/internal/sched"
 )
 
 // Native fuzz targets. `go test` always replays the seed corpus under
@@ -191,44 +194,47 @@ func FuzzStream(f *testing.F) {
 			arrivals = append(arrivals, at)
 			deadlines = append(deadlines, at+Cycles(b%5)*100+1)
 		}
-		policies := allPolicies(cfg, len(nets))
-		policies = append(policies,
-			struct {
-				name string
-				mk   func() Scheduler
-			}{"EDF(fuzz)", func() Scheduler { return NewEDF(deadlines) }})
-		p := policies[int(schedPick)%len(policies)]
-		res, err := Run(cfg, nets, p.mk(), RunOptions{
+		table := sched.Table()
+		p := table[int(schedPick)%len(table)]
+		res, err := Run(cfg, nets, p.New(cfg, testWorkload{nets, deadlines}), RunOptions{
 			CheckInvariants: true,
 			Arrivals:        arrivals,
 		})
 		if err != nil {
-			t.Fatalf("%s: %v", p.name, err)
+			t.Fatalf("%s: %v", p.Name, err)
 		}
 		for i, fin := range res.NetFinish {
 			if fin <= arrivals[i] {
-				t.Fatalf("%s: net %d finished at %d, arrival %d", p.name, i, fin, arrivals[i])
+				t.Fatalf("%s: net %d finished at %d, arrival %d", p.Name, i, fin, arrivals[i])
 			}
 		}
 		if res.MBCount <= 0 || res.CBCount <= 0 {
-			t.Fatalf("%s: empty execution: %d MBs %d CBs", p.name, res.MBCount, res.CBCount)
+			t.Fatalf("%s: empty execution: %d MBs %d CBs", p.Name, res.MBCount, res.CBCount)
 		}
 	})
 }
 
 // FuzzAdmission drives random overload scenarios — arbitrary arrival
 // patterns, priority mixes, cluster sizes and SLO slacks — through the
-// full control plane (admission, preemptive priorities, autoscaling)
-// with the machine-model invariant checker on, and asserts the
-// admission conservation laws: every request is either routed or shed,
-// shed requests only come from the lowest priority band and never
-// appear in any chip's completions, and admitted + shed == offered.
+// cluster's one dispatch loop with the machine-model invariant checker
+// on. The routing policy is drawn from the full routing table
+// (predictive included), the per-chip scheduler from the scheduler
+// table, and admission control is fuzzed off as well as on, alongside
+// autoscaling. It asserts the admission conservation laws: every
+// request is either routed or shed, shed requests only come from the
+// lowest priority band and never appear in any chip's completions,
+// admitted + shed == offered, and the shed mask exists exactly when
+// admission, autoscaling or predictive routing is on.
 func FuzzAdmission(f *testing.F) {
-	f.Add([]byte{3, 1, 9}, uint8(1), uint8(1), uint8(4))
-	f.Add([]byte{0}, uint8(0), uint8(0), uint8(0))
-	f.Add([]byte{200, 50, 7, 7, 1}, uint8(2), uint8(2), uint8(11))
-	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9}, uint8(3), uint8(1), uint8(255))
-	f.Fuzz(func(t *testing.T, picks []byte, chipsPick, prioPick, sloPick uint8) {
+	// The trailing two arguments pick the per-chip scheduler (12 is
+	// AI-MT+Prio) and the control plane (even: admission on). The
+	// checked-in corpus adds predictive routing, other per-chip
+	// schedulers and admission off.
+	f.Add([]byte{3, 1, 9}, uint8(1), uint8(1), uint8(4), uint8(12), uint8(0))
+	f.Add([]byte{0}, uint8(0), uint8(0), uint8(0), uint8(12), uint8(0))
+	f.Add([]byte{200, 50, 7, 7, 1}, uint8(2), uint8(2), uint8(11), uint8(12), uint8(0))
+	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9}, uint8(3), uint8(1), uint8(255), uint8(12), uint8(0))
+	f.Fuzz(func(t *testing.T, picks []byte, chipsPick, prioPick, sloPick, schedPick, ctlPick uint8) {
 		if len(picks) == 0 {
 			return
 		}
@@ -271,20 +277,29 @@ func FuzzAdmission(f *testing.F) {
 			return
 		}
 		chips := int(chipsPick%4) + 1
-		pols := ClusterPolicies()
+		pols := cluster.AllPolicies()
 		pol := pols[int(pick(7))%len(pols)]
-		res, err := ClusterServe(cfg, stream, ServePreemptiveAIMT(), pol.New(), ClusterOptions{
+		specs := ServeSchedulers()
+		spec := specs[int(schedPick)%len(specs)]
+		ctl := ClusterControl{
+			Admission: ctlPick%2 == 0,
+			Autoscale: pick(8)%2 == 1,
+			MinChips:  int(pick(9)) % (chips + 1),
+			Patience:  int(pick(10) % 16),
+		}
+		res, err := ClusterServe(cfg, stream, spec, pol.New(), ClusterOptions{
 			Chips:           chips,
 			CheckInvariants: true,
-			Control: ClusterControl{
-				Admission: true,
-				Autoscale: pick(8)%2 == 1,
-				MinChips:  int(pick(9)) % (chips + 1),
-				Patience:  int(pick(10) % 16),
-			},
+			Control:         ctl,
 		})
 		if err != nil {
-			t.Fatalf("%s x%d: %v", pol.Name, chips, err)
+			t.Fatalf("%s/%s x%d: %v", spec.Name, pol.Name, chips, err)
+		}
+		if wantMask := ctl.Admission || ctl.Autoscale || pol.Name == "predictive"; (res.Shed != nil) != wantMask {
+			t.Fatalf("%s %+v: shed mask present %v, want %v", pol.Name, ctl, res.Shed != nil, wantMask)
+		}
+		if !ctl.Admission && res.ShedCount != 0 {
+			t.Fatalf("admission off but %d requests shed", res.ShedCount)
 		}
 		offered := len(stream.Nets)
 		minPrio := stream.ClassPriority[0]
@@ -296,10 +311,11 @@ func FuzzAdmission(f *testing.F) {
 		perChip := make([]int, chips)
 		shed := 0
 		for i, c := range res.Assignment {
-			if res.Shed[i] != (c == -1) {
-				t.Fatalf("request %d: shed=%v but chip %d", i, res.Shed[i], c)
+			isShed := res.Shed != nil && res.Shed[i]
+			if isShed != (c == -1) {
+				t.Fatalf("request %d: shed=%v but chip %d", i, isShed, c)
 			}
-			if res.Shed[i] {
+			if isShed {
 				shed++
 				if p := stream.ClassPriority[stream.ClassOf[i]]; p != minPrio {
 					t.Fatalf("request %d of priority %d shed; lowest band is %d", i, p, minPrio)

@@ -3,6 +3,7 @@ package aimt
 import (
 	"testing"
 
+	"aimt/internal/sched"
 	"aimt/internal/workload"
 )
 
@@ -11,14 +12,14 @@ import (
 // cross-cutting invariants and the behaviours the per-package suites
 // cannot see.
 
+// allSchedulers returns a fresh instance of every scheduler-table
+// entry over the mix, with fabricated deadlines and priority bands.
 func allSchedulers(cfg Config, mix *workload.Mix) []Scheduler {
-	return []Scheduler{
-		NewFIFO(), NewRR(), NewGreedy(), NewSJF(),
-		NewGreedyPrefetch(), NewComputeFirst(mix.MemHeavy),
-		NewAIMT(cfg, PrefetchOnly()),
-		NewAIMT(cfg, PrefetchMerge()),
-		NewAIMT(cfg, AllMechanisms()),
+	var out []Scheduler
+	for _, e := range sched.Table() {
+		out = append(out, e.New(cfg, testWorkload{mix.Nets, propertyDeadlines(len(mix.Nets))}))
 	}
+	return out
 }
 
 // TestEveryPolicyOnEveryMix runs the full policy matrix over the
@@ -75,15 +76,12 @@ func TestDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mk := range []func() Scheduler{
-		func() Scheduler { return NewRR() },
-		func() Scheduler { return NewAIMT(cfg, AllMechanisms()) },
-	} {
-		a, err := Run(cfg, mix.Nets, mk(), RunOptions{})
+	for _, e := range sched.Table() {
+		a, err := Run(cfg, mix.Nets, e.New(cfg, sched.Mix(mix.MemHeavy)), RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Run(cfg, mix.Nets, mk(), RunOptions{})
+		b, err := Run(cfg, mix.Nets, e.New(cfg, sched.Mix(mix.MemHeavy)), RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -57,8 +57,7 @@ type Options struct {
 	Ledger *obs.Ledger
 
 	// Control configures the overload control plane (admission
-	// shedding, elastic autoscaling). The zero value disables it and
-	// Serve takes the plain Dispatch path unchanged.
+	// shedding, elastic autoscaling). The zero value disables it.
 	Control Control
 
 	// Trace, when non-nil, collects attributed per-request spans for
@@ -109,7 +108,8 @@ type Result struct {
 	Imbalance float64
 
 	// Shed marks requests dropped by admission control (Assignment -1);
-	// nil when the control plane is off. ShedCount totals them.
+	// nil unless admission, autoscaling or predictive routing is on.
+	// ShedCount totals them.
 	Shed      []bool
 	ShedCount int
 
@@ -125,61 +125,15 @@ type Result struct {
 }
 
 // Dispatch routes every request of the stream to a chip under the
-// policy, in arrival order, and returns the entry-to-chip assignment.
-// The dispatcher's backlog estimates advance with each routed entry's
-// service estimate. Routing is request-granular: a decode entry
-// inherits its predecessor's chip without consulting the policy — its
-// KV cache lives there — but still advances that chip's backlog by the
-// decode service estimate.
+// policy, in arrival order, with the control plane off, and returns the
+// entry-to-chip assignment. The dispatcher's backlog estimates advance
+// with each routed entry's service estimate. Routing is
+// request-granular: a decode entry inherits its predecessor's chip
+// without consulting the policy — its KV cache lives there — but still
+// advances that chip's backlog by the decode service estimate.
 func Dispatch(s *serve.Stream, pol Policy, chips int) ([]int, error) {
-	return dispatch(s, pol, chips, nil)
-}
-
-// dispatch is Dispatch with an optional etas sink: when non-nil (and
-// stream-length), each entry's dispatcher completion estimate at
-// routing time is recorded for the request tracer.
-func dispatch(s *serve.Stream, pol Policy, chips int, etas []arch.Cycles) ([]int, error) {
-	if chips <= 0 {
-		return nil, fmt.Errorf("cluster: chips must be positive, got %d", chips)
-	}
-	v := &View{
-		chips:   chips,
-		classes: len(s.Classes),
-		freeAt:  make([]arch.Cycles, chips),
-		counts:  make([]int, chips),
-	}
-	out := make([]int, len(s.Nets))
-	for i := range s.Nets {
-		r := Request{
-			Index:    i,
-			Class:    s.ClassOf[i],
-			Arrival:  s.Arrivals[i],
-			Deadline: s.Deadlines[i],
-			Service:  s.EntryService(i),
-		}
-		if r.Class < len(s.ClassPriority) {
-			r.Priority = s.ClassPriority[r.Class]
-		}
-		if s.ChainAfter != nil && s.ChainAfter[i] >= 0 {
-			c := out[s.ChainAfter[i]]
-			out[i] = c
-			if etas != nil {
-				etas[i] = v.ETA(c, r)
-			}
-			v.route(c, r)
-			continue
-		}
-		c := pol.Pick(v, r)
-		if c < 0 || c >= chips {
-			return nil, fmt.Errorf("cluster: policy %s routed request %d to chip %d, want [0,%d)", pol.Name(), i, c, chips)
-		}
-		out[i] = c
-		if etas != nil {
-			etas[i] = v.ETA(c, r)
-		}
-		v.route(c, r)
-	}
-	return out, nil
+	assign, _, _, err := dispatch(s, pol, chips, Control{}, nil, nil, nil)
+	return assign, err
 }
 
 // Serve routes the stream across the cluster under the policy, runs
@@ -190,28 +144,17 @@ func Serve(cfg arch.Config, s *serve.Stream, spec serve.SchedulerSpec, pol Polic
 	if chips <= 0 {
 		chips = 1
 	}
-	var (
-		assign []int
-		shed   []bool
-		st     ctlStats
-		err    error
-	)
-	ctl := opts.Control
-	if pol.Name() == "predictive" {
+	var pred *predictor
+	if pol.Name() == predictiveName {
 		// The predictive policy is meaningless without the predictor;
 		// selecting it opts into forward-simulated ETAs implicitly.
-		ctl.Predictive = true
+		pred = newPredictor(cfg, s, chips)
 	}
 	var etas []arch.Cycles
 	if opts.Trace != nil {
 		etas = make([]arch.Cycles, len(s.Nets))
 	}
-	if ctl.enabled() {
-		assign, shed, st, err = dispatchControlled(cfg, s, pol, chips, ctl, opts.Ledger, etas)
-	} else {
-		assign, err = dispatch(s, pol, chips, etas)
-		st.active = chips
-	}
+	assign, shed, st, err := dispatch(s, pol, chips, opts.Control, pred, opts.Ledger, etas)
 	if err != nil {
 		return nil, err
 	}
@@ -474,19 +417,9 @@ func LoadCurve(cfg arch.Config, classes []serve.Class, spec serve.SchedulerSpec,
 	}
 	gaps := opts.Gaps
 	if len(gaps) == 0 {
-		probeOpts := opts.Stream
-		probeOpts.Requests = 1
-		probeOpts.MeanGap = 1
-		probe, err := serve.NewStream(cfg, classes, probeOpts)
-		if err != nil {
+		var err error
+		if gaps, err = serve.LoadGaps(cfg, classes, opts.Stream, chips, serve.DefaultGapFactors); err != nil {
 			return nil, err
-		}
-		for _, f := range serve.DefaultGapFactors {
-			g := arch.Cycles(probe.MeanService / (f * float64(chips)))
-			if g < 1 {
-				g = 1
-			}
-			gaps = append(gaps, g)
 		}
 	}
 

@@ -5,9 +5,7 @@ import (
 	"testing"
 
 	"aimt/internal/arch"
-	"aimt/internal/core"
 	"aimt/internal/serve"
-	"aimt/internal/sim"
 )
 
 func testConfig(t *testing.T) arch.Config {
@@ -33,10 +31,8 @@ func testStream(t *testing.T, cfg arch.Config, requests int, seed int64) *serve.
 }
 
 func aimtSpec() serve.SchedulerSpec {
-	return serve.SchedulerSpec{
-		Name: "AI-MT",
-		New:  func(cfg arch.Config, _ *serve.Stream) sim.Scheduler { return core.New(cfg, core.All()) },
-	}
+	spec, _ := serve.SchedulerByName("AI-MT")
+	return spec
 }
 
 // TestDispatchConservesRequests is the dispatcher's conservation

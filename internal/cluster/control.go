@@ -12,8 +12,8 @@ import (
 // admission control and elastic autoscaling, both acting at dispatch
 // time with exactly the information a production front door has —
 // arrivals, class service estimates and its own routing decisions.
-// The zero value disables everything; Serve then takes the plain
-// Dispatch path and is bit-identical to the uncontrolled cluster.
+// The zero value disables everything, and dispatch routes exactly as
+// the uncontrolled cluster does.
 type Control struct {
 	// Admission enables SLO-aware shedding: a request of the lowest
 	// priority band whose best predicted completion (per-chip
@@ -45,25 +45,7 @@ type Control struct {
 	// Patience is how many consecutive arrivals must cross a threshold
 	// before the active set changes; <= 0 means 8.
 	Patience int
-
-	// Predictive replaces the dispatcher's static drain-then-serve ETA
-	// arithmetic with a bounded forward simulation of each candidate
-	// chip's recent workload plus the request on the real machine
-	// model (see View.PredictETA). It upgrades the deadline routing
-	// policy and the admission check; routing policies that never
-	// consult ETAs are unaffected. Serve turns it on implicitly for
-	// the "predictive" policy.
-	Predictive bool
-
-	// PredictWindow bounds each prediction to the chip's most recent
-	// routed requests; <= 0 means 8. The window is what keeps a
-	// per-request simulation cheap and is also the model's horizon:
-	// requests older than the window are assumed drained.
-	PredictWindow int
 }
-
-// enabled reports whether any control-plane mechanism is on.
-func (c Control) enabled() bool { return c.Admission || c.Autoscale || c.Predictive }
 
 // ctlStats carries the dispatch-time control-plane outcome into the
 // cluster result.
@@ -92,14 +74,16 @@ func ctlNote(led *obs.Ledger, cycle arch.Cycles, kind string, net int, detail ar
 	})
 }
 
-// dispatchControlled is Dispatch with the control plane in the loop:
-// per arrival it first lets the autoscaler adjust the active chip set,
-// then applies admission control, then routes via the policy within
-// the active set. It returns the assignment (-1 for shed requests),
-// the shed mask, and the control-plane stats. With admission off and
-// the active set pinned at the full cluster it routes identically to
-// Dispatch.
-func dispatchControlled(cfg arch.Config, s *serve.Stream, pol Policy, chips int, ctl Control, led *obs.Ledger, etas []arch.Cycles) ([]int, []bool, ctlStats, error) {
+// dispatch is the cluster's one dispatch loop: per arrival it first
+// lets the autoscaler adjust the active chip set, then applies
+// admission control, then routes via the policy within the active set.
+// pred, when non-nil, forward-simulates the ETAs the policy and the
+// admission check read. It returns the assignment (-1 for shed
+// requests), the shed mask, and the control-plane stats. The shed mask
+// is nil unless admission, autoscaling or prediction is on. When etas
+// is non-nil (and stream-length) each entry's dispatcher completion
+// estimate at routing time is recorded for the request tracer.
+func dispatch(s *serve.Stream, pol Policy, chips int, ctl Control, pred *predictor, led *obs.Ledger, etas []arch.Cycles) ([]int, []bool, ctlStats, error) {
 	if chips <= 0 {
 		return nil, nil, ctlStats{}, fmt.Errorf("cluster: chips must be positive, got %d", chips)
 	}
@@ -150,12 +134,13 @@ func dispatchControlled(cfg arch.Config, s *serve.Stream, pol Policy, chips int,
 		classes: len(s.Classes),
 		freeAt:  make([]arch.Cycles, chips),
 		counts:  make([]int, chips),
-	}
-	if ctl.Predictive {
-		v.pred = newPredictor(cfg, s, chips, ctl.PredictWindow)
+		pred:    pred,
 	}
 	assign := make([]int, len(s.Nets))
-	shed := make([]bool, len(s.Nets))
+	var shed []bool
+	if ctl.Admission || ctl.Autoscale || pred != nil {
+		shed = make([]bool, len(s.Nets))
+	}
 	var st ctlStats
 	var upRun, downRun int
 	for i := range s.Nets {
@@ -177,7 +162,7 @@ func dispatchControlled(cfg arch.Config, s *serve.Stream, pol Policy, chips int,
 		// on its own.
 		if s.ChainAfter != nil && s.ChainAfter[i] >= 0 {
 			p := s.ChainAfter[i]
-			if shed[p] {
+			if shed != nil && shed[p] {
 				assign[i] = -1
 				shed[i] = true
 				st.shedCount++

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 
 	"aimt/internal/arch"
 )
@@ -44,10 +45,9 @@ type View struct {
 	freeAt  []arch.Cycles // estimated cycle each chip drains its queue
 	counts  []int         // requests routed to each chip so far
 
-	// pred, when the control plane enables prediction, refines ETA
-	// queries by bounded forward simulation of the chip's recent
-	// workload on the real machine model. Nil keeps every estimate
-	// static, bit-identical to the plain dispatcher.
+	// pred, attached for the predictive policy, refines ETA queries
+	// by bounded forward simulation of the chip's recent workload on
+	// the real machine model. Nil keeps every estimate static.
 	pred *predictor
 }
 
@@ -80,10 +80,9 @@ func (v *View) ETA(chip int, r Request) arch.Cycles {
 // PredictETA returns the best completion estimate available for
 // routing r to chip: the static drain-then-serve arithmetic when the
 // dispatcher has no predictor, or the bounded forward simulation of
-// the chip's recent workload plus r when the control plane enabled
-// prediction (Control.Predictive, or the "predictive" policy). The
-// deadline policy and admission control query this seam, so turning
-// prediction on upgrades both without changing their logic.
+// the chip's recent workload plus r under the "predictive" policy.
+// The deadline pick and admission control query this seam, so the
+// predictor upgrades both without changing their logic.
 func (v *View) PredictETA(chip int, r Request) arch.Cycles {
 	static := v.ETA(chip, r)
 	if v.pred == nil {
@@ -213,23 +212,15 @@ func (Deadline) Pick(v *View, r Request) int {
 // when the rest of the control plane is off. Each routing decision
 // simulates the candidate chips' recent workload plus the request on
 // the real machine model and picks the chip whose simulation finishes
-// the request soonest.
-type Predictive struct{}
+// the request soonest — Deadline's pick over forward-simulated ETAs.
+type Predictive struct{ Deadline }
+
+// predictiveName is the policy name that attaches the predictor: the
+// name is all a wrapping policy is sure to forward.
+const predictiveName = "predictive"
 
 // Name implements Policy.
-func (Predictive) Name() string { return "predictive" }
-
-// Pick implements Policy.
-func (Predictive) Pick(v *View, r Request) int {
-	best := 0
-	bestETA := v.PredictETA(0, r)
-	for c := 1; c < v.Chips(); c++ {
-		if eta := v.PredictETA(c, r); eta < bestETA {
-			best, bestETA = c, eta
-		}
-	}
-	return best
-}
+func (Predictive) Name() string { return predictiveName }
 
 // Spec names a routing policy and builds a fresh instance per dispatch
 // pass (policies may carry cursor state).
@@ -240,28 +231,46 @@ type Spec struct {
 	New func() Policy
 }
 
-// Policies returns every built-in routing policy, in comparison order.
-func Policies() []Spec {
-	return []Spec{
-		{Name: "round-robin", New: func() Policy { return &RoundRobin{} }},
-		{Name: "least-work", New: func() Policy { return LeastWork{} }},
-		{Name: "class-affinity", New: func() Policy { return ClassAffinity{} }},
-		{Name: "deadline", New: func() Policy { return Deadline{} }},
-	}
+// routes is the routing table in comparison order. Opt-in entries
+// resolve by name but stay out of Policies(): every predictive routing
+// decision costs chip-count forward simulations, so it is compared
+// only when asked for.
+var routes = []struct {
+	Spec
+	optIn bool
+}{
+	{Spec: Spec{Name: "round-robin", New: func() Policy { return &RoundRobin{} }}},
+	{Spec: Spec{Name: "least-work", New: func() Policy { return LeastWork{} }}},
+	{Spec: Spec{Name: "class-affinity", New: func() Policy { return ClassAffinity{} }}},
+	{Spec: Spec{Name: "deadline", New: func() Policy { return Deadline{} }}},
+	{Spec: Spec{Name: predictiveName, New: func() Policy { return Predictive{} }}, optIn: true},
 }
 
-// ByName resolves a routing policy spec from its name. The
-// "predictive" policy resolves here but is not part of Policies():
-// every routing decision costs chip-count forward simulations, so it
-// is compared only when asked for.
-func ByName(name string) (Spec, error) {
-	if name == "predictive" {
-		return Spec{Name: "predictive", New: func() Policy { return Predictive{} }}, nil
-	}
-	for _, s := range Policies() {
-		if s.Name == name {
-			return s, nil
+// Policies returns the standard routing policies, in comparison order.
+func Policies() []Spec { return policies(false) }
+
+// AllPolicies returns every routing policy of the table, opt-in ones
+// included, in comparison order.
+func AllPolicies() []Spec { return policies(true) }
+
+func policies(optIn bool) []Spec {
+	var out []Spec
+	for _, r := range routes {
+		if optIn || !r.optIn {
+			out = append(out, r.Spec)
 		}
 	}
-	return Spec{}, fmt.Errorf("cluster: unknown routing policy %q (have round-robin, least-work, class-affinity, deadline, predictive)", name)
+	return out
+}
+
+// ByName resolves a routing policy spec from its name.
+func ByName(name string) (Spec, error) {
+	var names []string
+	for _, r := range routes {
+		if r.Name == name {
+			return r.Spec, nil
+		}
+		names = append(names, r.Name)
+	}
+	return Spec{}, fmt.Errorf("cluster: unknown routing policy %q (have %s)", name, strings.Join(names, ", "))
 }

@@ -21,18 +21,15 @@ func TestPredictETAStaticFallbacks(t *testing.T) {
 	if got, want := v.PredictETA(0, r), v.ETA(0, r); got != want {
 		t.Errorf("no predictor: PredictETA %d != static ETA %d", got, want)
 	}
-	v.pred = newPredictor(cfg, s, 2, 0)
+	v.pred = newPredictor(cfg, s, 2)
 	if got, want := v.PredictETA(1, r), v.ETA(1, r); got != want {
 		t.Errorf("empty history: PredictETA %d != static ETA %d", got, want)
-	}
-	if v.pred.window != defaultPredictWindow {
-		t.Errorf("unset window defaulted to %d, want %d", v.pred.window, defaultPredictWindow)
 	}
 }
 
 // TestPredictiveDeadlineDiffersFromStatic routes one saturated stream
-// with the deadline policy twice — static ETAs versus the
-// forward-simulation predictor — and checks (a) both dispatches are
+// twice — the deadline policy on static ETAs versus the predictive
+// policy on the forward-simulation predictor — and checks (a) both dispatches are
 // valid, (b) the predictor actually changed at least one routing
 // decision. The static estimate serially sums isolated service times;
 // the simulation sees fetch/compute overlap between co-resident
@@ -44,7 +41,7 @@ func TestPredictiveDeadlineDiffersFromStatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, _, _, err := dispatchControlled(cfg, s, Deadline{}, 2, Control{Predictive: true}, nil, nil)
+	pred, _, _, err := dispatch(s, Predictive{}, 2, Control{}, newPredictor(cfg, s, 2), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +61,11 @@ func TestPredictiveDeadlineDiffersFromStatic(t *testing.T) {
 func TestPredictiveDispatchDeterministic(t *testing.T) {
 	cfg := testConfig(t)
 	s := prioStream(t, cfg, 150, 5, 3.0, 2)
-	a, _, _, err := dispatchControlled(cfg, s, Predictive{}, 2, Control{Predictive: true}, nil, nil)
+	a, _, _, err := dispatch(s, Predictive{}, 2, Control{}, newPredictor(cfg, s, 2), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, _, err := dispatchControlled(cfg, s, Predictive{}, 2, Control{Predictive: true}, nil, nil)
+	b, _, _, err := dispatch(s, Predictive{}, 2, Control{}, newPredictor(cfg, s, 2), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +127,11 @@ func TestPredictiveByName(t *testing.T) {
 func TestPredictorWindowSlides(t *testing.T) {
 	cfg := testConfig(t)
 	s := prioStream(t, cfg, 20, 3, 1.0, 1)
-	p := newPredictor(cfg, s, 1, 4)
+	p := newPredictor(cfg, s, 1)
 	for i := 0; i < 10; i++ {
 		p.record(0, i)
 	}
-	want := []int{6, 7, 8, 9}
+	want := []int{2, 3, 4, 5, 6, 7, 8, 9}
 	if !reflect.DeepEqual(p.recent[0], want) {
 		t.Errorf("window holds %v, want %v", p.recent[0], want)
 	}

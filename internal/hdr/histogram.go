@@ -1,9 +1,8 @@
 // Package hdr holds the streaming HDR-style histogram. It lives in a
 // leaf package (importing only internal/arch) so that both the
-// metrics/report layer and the observability registry can share one
-// implementation: metrics re-exports it as metrics.Histogram, and
-// internal/obs wraps it behind a mutex — without obs→metrics→sim
-// import cycles.
+// serving reports and the observability registry can share one
+// implementation — internal/obs wraps it behind a mutex — without
+// obs→metrics→sim import cycles.
 package hdr
 
 import (

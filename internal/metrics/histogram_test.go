@@ -3,7 +3,6 @@ package metrics
 import (
 	"testing"
 
-	"aimt/internal/arch"
 	"aimt/internal/sim"
 )
 
@@ -28,24 +27,5 @@ func TestEmptyInputGuards(t *testing.T) {
 	}
 	if got := Latencies(empty); len(got) != 0 {
 		t.Errorf("Latencies(empty) = %v, want empty", got)
-	}
-}
-
-// TestHistogramAlias pins that metrics.Histogram is the shared hdr
-// implementation: call sites that migrated from the latency-slice
-// Percentile keep their answers.
-func TestHistogramAlias(t *testing.T) {
-	vals := []arch.Cycles{5, 10, 15, 20, 25}
-	var h Histogram
-	for _, v := range vals {
-		h.Record(v)
-	}
-	if h.Count() != len(vals) {
-		t.Fatalf("count = %d, want %d", h.Count(), len(vals))
-	}
-	for _, p := range []float64{0, 50, 100} {
-		if got, want := h.Quantile(p), Percentile(vals, p); got != want {
-			t.Errorf("p%v: Histogram %d != Percentile %d", p, got, want)
-		}
 	}
 }

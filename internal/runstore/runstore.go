@@ -51,8 +51,8 @@ type Run struct {
 	Time string `json:"time,omitempty"`
 	// Commit is the git commit the run was produced from, when known.
 	Commit string `json:"commit,omitempty"`
-	// Source is the producing driver: "bench", "serve", "cluster",
-	// "sweep" or "seed" for ingested history.
+	// Source is the producing driver: "bench", "serve", "cluster", or
+	// "seed" for ingested history.
 	Source string `json:"source"`
 	// Labels are free-form identifying dimensions: scheduler, policy,
 	// mix, load, arch, goos, ...

@@ -10,6 +10,11 @@
 // capacity (the "+ MB prefetching" variants of Fig 16). Compute blocks
 // always execute in the order their memory blocks were issued, which
 // is how a sub-layer-granularity pipeline behaves.
+//
+// The package also holds the scheduler table (Table, Lookup): one
+// ordered name-to-constructor list covering every scheduler, AI-MT's
+// mechanism ladder and the wrappers included, that the tools, the
+// experiment drivers and the test batteries all resolve through.
 package sched
 
 import (

@@ -236,8 +236,8 @@ func TestPREMACompletesMixedLoad(t *testing.T) {
 	}
 }
 
-// All baselines complete a mixed two-network workload and respect the
-// makespan lower bound.
+// Every scheduler of the table, baselines included, completes a mixed
+// two-network workload and respects the makespan lower bound.
 func TestAllBaselinesComplete(t *testing.T) {
 	cfg := testConfig(t)
 	nets := []*compiler.CompiledNetwork{
@@ -254,10 +254,8 @@ func TestAllBaselinesComplete(t *testing.T) {
 			lower = s.MBCycles
 		}
 	}
-	for _, s := range []sim.Scheduler{
-		NewFIFO(), NewRR(), NewGreedy(), NewGreedyPrefetch(), NewSJF(),
-		NewComputeFirst([]bool{false, true}),
-	} {
+	for _, e := range Table() {
+		s := e.New(cfg, Mix{false, true})
 		res, _ := run(t, cfg, nets, s)
 		if res.Makespan < lower {
 			t.Errorf("%s makespan %d below bound %d", s.Name(), res.Makespan, lower)

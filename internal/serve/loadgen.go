@@ -6,13 +6,14 @@
 // latency-vs-throughput curve per scheduler.
 //
 // Memory stays bounded in the stream length: a report holds an
-// O(buckets) metrics.Histogram plus a handful of counters, never the
+// O(buckets) hdr.Histogram plus a handful of counters, never the
 // per-request latency slice, so sweeps of hundreds of thousands of
 // requests are routine.
 package serve
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"aimt/internal/arch"
@@ -76,16 +77,16 @@ type Class struct {
 	// k of a request must finish by the prefill deadline plus
 	// k x TokenSlack x (isolated decode service estimate) — a per-token
 	// SLA, as user-facing text generation requires. Zero or negative
-	// means the class Slack.
+	// means the class Slack; it must be finite.
 	TokenSlack float64
 
 	// Weight is the class's relative request frequency; zero or
-	// negative means 1.
+	// negative means 1. It must be finite.
 	Weight float64
 
 	// Slack scales the class's deadline: a request arriving at cycle t
 	// must finish by t + Slack x (isolated service estimate). Zero or
-	// negative means DefaultSlack.
+	// negative means DefaultSlack; it must be finite.
 	Slack float64
 
 	// Batch is the per-request batch size; zero means 1.
@@ -450,6 +451,11 @@ func NewStream(cfg arch.Config, classes []Class, opts StreamOptions) (*Stream, e
 	for i, c := range classes {
 		if c.Net == nil {
 			return nil, fmt.Errorf("serve: class %d has no network", i)
+		}
+		for _, v := range []float64{c.Weight, c.Slack, c.TokenSlack} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("serve: class %d: Weight, Slack and TokenSlack must be finite, got %v, %v, %v", i, c.Weight, c.Slack, c.TokenSlack)
+			}
 		}
 		batch := c.Batch
 		if batch <= 0 {

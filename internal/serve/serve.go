@@ -3,9 +3,10 @@ package serve
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"aimt/internal/arch"
-	"aimt/internal/core"
+	"aimt/internal/hdr"
 	"aimt/internal/metrics"
 	"aimt/internal/obs"
 	"aimt/internal/rtrace"
@@ -74,7 +75,7 @@ type Report struct {
 
 	// Latency is the streaming latency distribution; query it for
 	// quantiles beyond the pre-extracted ones below.
-	Latency metrics.Histogram
+	Latency hdr.Histogram
 
 	// P50, P95, P99 and P999 are request-latency quantiles.
 	P50, P95, P99, P999 arch.Cycles
@@ -136,7 +137,7 @@ func BuildReportShed(s *Stream, res *sim.Result, shed []bool) *Report {
 		MemUtil:   res.MemUtilization(),
 	}
 	perClass := make([]ClassStats, len(s.Classes))
-	classHist := make([]metrics.Histogram, len(s.Classes))
+	classHist := make([]hdr.Histogram, len(s.Classes))
 	for i := range perClass {
 		perClass[i].Class = s.Classes[i]
 	}
@@ -144,7 +145,7 @@ func BuildReportShed(s *Stream, res *sim.Result, shed []bool) *Report {
 	// row (PhaseSingle entries of a mixed stream are covered by their
 	// class row).
 	var perPhase []PhaseStats
-	var phaseHist []metrics.Histogram
+	var phaseHist []hdr.Histogram
 	phaseRow := func(i int) *PhaseStats {
 		if perPhase == nil {
 			return nil
@@ -159,7 +160,7 @@ func BuildReportShed(s *Stream, res *sim.Result, shed []bool) *Report {
 	}
 	if s.PhaseOf != nil {
 		perPhase = []PhaseStats{{Phase: PhasePrefill}, {Phase: PhaseDecode}}
-		phaseHist = make([]metrics.Histogram, len(perPhase))
+		phaseHist = make([]hdr.Histogram, len(perPhase))
 	}
 	for i := range s.Nets {
 		ci := s.ClassOf[i]
@@ -294,8 +295,8 @@ func Serve(cfg arch.Config, s *Stream, sch sim.Scheduler, opts sim.Options) (*Re
 }
 
 // SchedulerSpec names a scheduler and builds a fresh instance per run.
-// The factory receives the stream so deadline-aware policies can read
-// its deadlines.
+// The factory receives the stream so deadline- and priority-aware
+// policies can read its per-request inputs.
 type SchedulerSpec struct {
 	// Name labels the scheduler in curves and reports.
 	Name string
@@ -303,49 +304,58 @@ type SchedulerSpec struct {
 	New func(cfg arch.Config, s *Stream) sim.Scheduler
 }
 
-// StandardSchedulers returns the serving comparison set: FIFO and
-// PREMA baselines, the full AI-MT mechanism stack, and deadline-aware
-// EDF.
-func StandardSchedulers() []SchedulerSpec {
-	return []SchedulerSpec{
-		{Name: "FIFO", New: func(arch.Config, *Stream) sim.Scheduler { return sched.NewFIFO() }},
-		{Name: "PREMA", New: func(arch.Config, *Stream) sim.Scheduler { return sched.NewPREMA(nil) }},
-		{Name: "AI-MT", New: func(cfg arch.Config, _ *Stream) sim.Scheduler { return core.New(cfg, core.All()) }},
-		{Name: "EDF", New: func(_ arch.Config, s *Stream) sim.Scheduler { return sched.NewEDF(s.Deadlines) }},
-	}
+// specOf adapts a scheduler-table entry to a stream factory.
+func specOf(e sched.Entry) SchedulerSpec {
+	return SchedulerSpec{Name: e.Name, New: func(cfg arch.Config, s *Stream) sim.Scheduler {
+		return e.New(cfg, streamWorkload{s})
+	}}
 }
 
-// LookaheadAIMT returns the speculative lookahead scheduler wrapped
-// around the full AI-MT mechanism stack: contested fetch decisions
-// (a memory-intensive and a compute-heavy block both issuable) are
-// resolved by snapshotting the engine and simulating both branches a
-// horizon ahead instead of by AI-MT's static load-matching heuristic.
-// horizon <= 0 uses the lookahead default. It is not part of
-// StandardSchedulers: speculation multiplies simulated cycles by the
-// number of forks, so it is opt-in (aimt-serve -sched lookahead).
-func LookaheadAIMT(horizon arch.Cycles) SchedulerSpec {
-	return SchedulerSpec{
-		Name: "Lookahead",
-		New: func(cfg arch.Config, _ *Stream) sim.Scheduler {
-			return sched.NewLookahead(core.New(cfg, core.All()), horizon)
-		},
+// StandardSchedulers returns the table's standard entries, the
+// serving comparison set: FIFO and PREMA baselines, the full AI-MT
+// mechanism stack, and deadline-aware EDF.
+func StandardSchedulers() []SchedulerSpec { return specs(false) }
+
+// Schedulers returns every entry of the scheduler table (sched.Table),
+// opt-in ones included, in comparison order.
+func Schedulers() []SchedulerSpec { return specs(true) }
+
+func specs(optIn bool) []SchedulerSpec {
+	var out []SchedulerSpec
+	for _, e := range sched.Table() {
+		if optIn || !e.OptIn {
+			out = append(out, specOf(e))
+		}
 	}
+	return out
 }
 
-// PreemptiveAIMT returns the full AI-MT mechanism stack with the
-// stream's class priorities driving cross-request preemption: a
-// higher-priority request's ready compute blocks displace a
-// lower-priority executing one via the CB-split path. With uniform
-// class priorities the scheduler is bit-identical to the plain AI-MT
-// spec.
-func PreemptiveAIMT() SchedulerSpec {
-	return SchedulerSpec{
-		Name: "AI-MT+Prio",
-		New: func(cfg arch.Config, s *Stream) sim.Scheduler {
-			return core.New(cfg, core.All()).SetPreemptPriorities(s.NetPriorities())
-		},
+// SchedulerByName resolves a scheduler-table entry by display name or
+// alias, ignoring case (see sched.Lookup).
+func SchedulerByName(name string) (SchedulerSpec, error) {
+	e, err := sched.Lookup(name)
+	if err != nil {
+		return SchedulerSpec{}, err
 	}
+	return specOf(e), nil
 }
+
+// streamWorkload is what a stream supplies to a scheduler constructor:
+// per-request memory intensity, deadlines and class priorities, each
+// derived only when the constructor asks for it.
+type streamWorkload struct{ s *Stream }
+
+func (w streamWorkload) MemHeavy() []bool {
+	out := make([]bool, len(w.s.Nets))
+	for i, cn := range w.s.Nets {
+		out[i] = cn.MemoryIntensive()
+	}
+	return out
+}
+
+func (w streamWorkload) Deadlines() []arch.Cycles { return w.s.Deadlines }
+
+func (w streamWorkload) Priorities() []int { return w.s.NetPriorities() }
 
 // CurvePoint is one offered-load point of a load sweep: the same
 // request sequence at one inter-arrival scale, under every scheduler.
@@ -402,6 +412,42 @@ type CurveOptions struct {
 // does not list explicit gaps: from light traffic to past saturation.
 var DefaultGapFactors = []float64{0.2, 0.5, 0.8, 1.1, 1.5}
 
+// CheckLoad rejects an offered load that is not a positive finite
+// number.
+func CheckLoad(load float64) error {
+	if !(load > 0) || math.IsInf(load, 1) {
+		return fmt.Errorf("serve: offered load must be a positive finite number, got %v", load)
+	}
+	return nil
+}
+
+// LoadGaps converts per-chip offered loads into the mean inter-arrival
+// gaps that produce them on chips chips (< 1 counts as 1): the mean
+// request service estimate of the classes — probed with a one-request
+// stream of opts' shape — over load x chips, at least one cycle. It
+// rejects loads CheckLoad rejects.
+func LoadGaps(cfg arch.Config, classes []Class, opts StreamOptions, chips int, loads []float64) ([]arch.Cycles, error) {
+	for _, load := range loads {
+		if err := CheckLoad(load); err != nil {
+			return nil, err
+		}
+	}
+	if chips < 1 {
+		chips = 1
+	}
+	opts.Requests = 1
+	opts.MeanGap = 1
+	probe, err := NewStream(cfg, classes, opts)
+	if err != nil {
+		return nil, err
+	}
+	gaps := make([]arch.Cycles, len(loads))
+	for i, load := range loads {
+		gaps[i] = max(arch.Cycles(probe.MeanService/(load*float64(chips))), 1)
+	}
+	return gaps, nil
+}
+
 // LoadCurve sweeps offered load over the given gaps, running every
 // scheduler on an identical request sequence at each point (same seed;
 // only the arrival gaps scale), and returns one CurvePoint per gap in
@@ -412,21 +458,9 @@ func LoadCurve(cfg arch.Config, classes []Class, schedulers []SchedulerSpec, opt
 	}
 	gaps := opts.Gaps
 	if len(gaps) == 0 {
-		// Probe the mix's mean service estimate with a one-request
-		// stream, then place gaps at the default load factors.
-		probeOpts := opts.Stream
-		probeOpts.Requests = 1
-		probeOpts.MeanGap = 1
-		probe, err := NewStream(cfg, classes, probeOpts)
-		if err != nil {
+		var err error
+		if gaps, err = LoadGaps(cfg, classes, opts.Stream, 1, DefaultGapFactors); err != nil {
 			return nil, err
-		}
-		for _, f := range DefaultGapFactors {
-			g := arch.Cycles(probe.MeanService / f)
-			if g < 1 {
-				g = 1
-			}
-			gaps = append(gaps, g)
 		}
 	}
 

@@ -8,7 +8,6 @@ import (
 
 	"aimt/internal/arch"
 	"aimt/internal/compiler"
-	"aimt/internal/core"
 	"aimt/internal/nn"
 	"aimt/internal/sched"
 	"aimt/internal/sim"
@@ -68,25 +67,14 @@ func testJobs(t testing.TB) []Job {
 		{nets[1], nets[0], nets[1]},
 	}
 
-	scheds := []struct {
-		name string
-		mk   func() sim.Scheduler
-	}{
-		{"FIFO", func() sim.Scheduler { return sched.NewFIFO() }},
-		{"RR", func() sim.Scheduler { return sched.NewRR() }},
-		{"Greedy", func() sim.Scheduler { return sched.NewGreedy() }},
-		{"SJF", func() sim.Scheduler { return sched.NewSJF() }},
-		{"AI-MT", func() sim.Scheduler { return core.New(cfg, core.All()) }},
-	}
-
 	var jobs []Job
 	for mi, mix := range mixes {
-		for _, s := range scheds {
+		for _, e := range sched.Table() {
 			jobs = append(jobs, Job{
 				Mix:  fmt.Sprintf("mix%d", mi),
 				Cfg:  cfg,
 				Nets: mix,
-				New:  s.mk,
+				New:  func() sim.Scheduler { return e.New(cfg, sched.Mix(nil)) },
 			})
 		}
 	}

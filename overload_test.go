@@ -96,7 +96,7 @@ func TestAdmissionProperties(t *testing.T) {
 		{"uniform", uniform},
 		{"two-tier", tiered},
 	}
-	schedulers := []SchedulerSpec{ServeStandardSchedulers()[0], ServePreemptiveAIMT()}
+	schedulers := ServeSchedulers()
 	for _, mix := range mixes {
 		s := overloadStream(t, cfg, mix.classes, 200, 17, 3.0, 2)
 		minPrio := s.ClassPriority[0]

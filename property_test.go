@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"aimt/internal/sched"
 )
 
 // Property tests: over seeded random small networks and mixes, every
@@ -48,32 +50,30 @@ func randomNetwork(r *rand.Rand, name string) (*Network, error) {
 	return b.Build()
 }
 
-// allPolicies returns a fresh instance of every scheduling policy,
-// keyed by label.
-func allPolicies(cfg Config, nets int) []struct {
-	name string
-	mk   func() Scheduler
-} {
-	return []struct {
-		name string
-		mk   func() Scheduler
-	}{
-		{"FIFO", func() Scheduler { return NewFIFO() }},
-		{"SerialFIFO", func() Scheduler { return NewSerialFIFO() }},
-		{"RR", func() Scheduler { return NewRR() }},
-		{"Greedy", func() Scheduler { return NewGreedy() }},
-		{"Greedy+PF", func() Scheduler { return NewGreedyPrefetch() }},
-		{"SJF", func() Scheduler { return NewSJF() }},
-		{"ComputeFirst", func() Scheduler { return NewComputeFirst(make([]bool, nets)) }},
-		{"PREMA", func() Scheduler { return NewPREMA(nil) }},
-		{"AI-MT(PF)", func() Scheduler { return NewAIMT(cfg, PrefetchOnly()) }},
-		{"AI-MT(PF+Merge)", func() Scheduler { return NewAIMT(cfg, PrefetchMerge()) }},
-		{"AI-MT(All)", func() Scheduler { return NewAIMT(cfg, AllMechanisms()) }},
-		{"EDF", func() Scheduler { return NewEDF(propertyDeadlines(nets)) }},
-		{"AI-MT+EDF", func() Scheduler {
-			return NewAIMT(cfg, AllMechanisms()).SetDeadlines(propertyDeadlines(nets))
-		}},
+// testWorkload supplies the scheduler table's inputs for a set of
+// networks: their memory intensity, the given deadlines, and two
+// alternating priority bands so AI-MT+Prio has something to preempt.
+type testWorkload struct {
+	nets      []*Compiled
+	deadlines []Cycles
+}
+
+func (w testWorkload) Deadlines() []Cycles { return w.deadlines }
+
+func (w testWorkload) MemHeavy() []bool {
+	out := make([]bool, len(w.nets))
+	for i, cn := range w.nets {
+		out[i] = cn.MemoryIntensive()
 	}
+	return out
+}
+
+func (w testWorkload) Priorities() []int {
+	out := make([]int, len(w.nets))
+	for i := range out {
+		out[i] = i % 2
+	}
+	return out
 }
 
 // propertyDeadlines fabricates distinct per-network deadlines (latest
@@ -114,11 +114,12 @@ func TestPropertyPoliciesAgreeOnWork(t *testing.T) {
 			var want *agreed
 			var wantName string
 			ideal := IdealBound(nets)
-			for _, p := range allPolicies(cfg, len(nets)) {
+			w := testWorkload{nets, propertyDeadlines(len(nets))}
+			for _, p := range sched.Table() {
 				var tr blockTrace
-				res, err := Run(cfg, nets, p.mk(), RunOptions{CheckInvariants: true, Tracer: &tr})
+				res, err := Run(cfg, nets, p.New(cfg, w), RunOptions{CheckInvariants: true, Tracer: &tr})
 				if err != nil {
-					t.Fatalf("%s: %v", p.name, err)
+					t.Fatalf("%s: %v", p.Name, err)
 				}
 				mbs, cbs := tr.sorted()
 				got := &agreed{
@@ -128,27 +129,27 @@ func TestPropertyPoliciesAgreeOnWork(t *testing.T) {
 					mbCount: res.MBCount, cbCount: res.CBCount,
 				}
 				if res.Makespan < ideal {
-					t.Errorf("%s: makespan %d below the ideal bound %d", p.name, res.Makespan, ideal)
+					t.Errorf("%s: makespan %d below the ideal bound %d", p.Name, res.Makespan, ideal)
 				}
 				if len(got.mbs) != got.mbCount || len(got.cbs) != got.cbCount {
 					t.Errorf("%s: traced %d MBs / %d CBs, result counts %d / %d",
-						p.name, len(got.mbs), len(got.cbs), got.mbCount, got.cbCount)
+						p.Name, len(got.mbs), len(got.cbs), got.mbCount, got.cbCount)
 				}
 				if want == nil {
-					want, wantName = got, p.name
+					want, wantName = got, p.Name
 					continue
 				}
 				if !slicesEqual(got.mbs, want.mbs) {
-					t.Errorf("%s and %s executed different MB multisets", p.name, wantName)
+					t.Errorf("%s and %s executed different MB multisets", p.Name, wantName)
 				}
 				if !slicesEqual(got.cbs, want.cbs) {
-					t.Errorf("%s and %s executed different CB multisets", p.name, wantName)
+					t.Errorf("%s and %s executed different CB multisets", p.Name, wantName)
 				}
 				if got.memBusy != want.memBusy {
-					t.Errorf("%s memory work %d != %s's %d", p.name, got.memBusy, wantName, want.memBusy)
+					t.Errorf("%s memory work %d != %s's %d", p.Name, got.memBusy, wantName, want.memBusy)
 				}
 				if got.cbWork != want.cbWork {
-					t.Errorf("%s compute work %d (net of refills) != %s's %d", p.name, got.cbWork, wantName, want.cbWork)
+					t.Errorf("%s compute work %d (net of refills) != %s's %d", p.Name, got.cbWork, wantName, want.cbWork)
 				}
 			}
 		})

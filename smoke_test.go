@@ -2,6 +2,8 @@ package aimt
 
 import (
 	"testing"
+
+	"aimt/internal/sched"
 )
 
 // TestSmokeEndToEnd compiles a two-network mix and runs it under every
@@ -19,15 +21,9 @@ func TestSmokeEndToEnd(t *testing.T) {
 	}
 	nets := []*Compiled{rn50, gnmt}
 
-	scheds := []Scheduler{
-		NewFIFO(), NewRR(), NewGreedy(), NewSJF(),
-		NewComputeFirst([]bool{false, true}),
-		NewAIMT(cfg, PrefetchOnly()),
-		NewAIMT(cfg, PrefetchMerge()),
-		NewAIMT(cfg, AllMechanisms()),
-	}
 	var fifoMakespan Cycles
-	for _, s := range scheds {
+	for _, e := range sched.Table() {
+		s := e.New(cfg, sched.Mix{false, true})
 		res, err := Run(cfg, nets, s, RunOptions{CheckInvariants: true})
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)

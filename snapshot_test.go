@@ -7,35 +7,19 @@ import (
 )
 
 // snapshotSchedulers is the scheduler battery for the snapshot/restore
-// property tests: every policy in the repo, including the stateful
-// ones (queues, round-robin pointers, token ledgers, the AI-MT
+// property tests: every entry of the scheduler table, including the
+// stateful ones (queues, round-robin pointers, token ledgers, the AI-MT
 // selected queue and credit state) and the speculative Lookahead
-// wrapper, which itself snapshots the engine mid-run.
+// wrapper, which itself snapshots the engine mid-run — plus Lookahead
+// at non-default horizons and over FIFO.
 func snapshotSchedulers(cfg Config) []SchedulerSpec {
-	specs := ServeStandardSchedulers()
-	for _, extra := range []struct {
-		name string
-		mk   func() Scheduler
-	}{
-		{"SerialFIFO", NewSerialFIFO},
-		{"RR", NewRR},
-		{"Greedy", NewGreedy},
-		{"Greedy+PF", NewGreedyPrefetch},
-		{"SJF", NewSJF},
-		{"AI-MT(PF)", func() Scheduler { return NewAIMT(cfg, PrefetchOnly()) }},
-		{"AI-MT(PF+Merge)", func() Scheduler { return NewAIMT(cfg, PrefetchMerge()) }},
-		{"Lookahead(AI-MT)", func() Scheduler {
+	return append(ServeSchedulers(),
+		SchedulerSpec{Name: "Lookahead(AI-MT)", New: func(cfg Config, _ *ServeStream) Scheduler {
 			return NewLookahead(NewAIMT(cfg, AllMechanisms()), 2048)
 		}},
-		{"Lookahead(FIFO)", func() Scheduler { return NewLookahead(NewFIFO(), 1024) }},
-	} {
-		mk := extra.mk
-		specs = append(specs, SchedulerSpec{
-			Name: extra.name,
-			New:  func(Config, *ServeStream) Scheduler { return mk() },
-		})
-	}
-	return specs
+		SchedulerSpec{Name: "Lookahead(FIFO)", New: func(Config, *ServeStream) Scheduler {
+			return NewLookahead(NewFIFO(), 1024)
+		}})
 }
 
 // runToProbe builds a fresh engine, steps it to the probe cycle, and
