@@ -36,7 +36,6 @@ import (
 	"aimt/internal/sched"
 	"aimt/internal/serve"
 	"aimt/internal/sim"
-	"aimt/internal/sweep"
 	"aimt/internal/workload"
 )
 
@@ -177,25 +176,6 @@ func NewEngine(cfg Config, nets []*Compiled, s Scheduler, opts RunOptions) (*Eng
 // sim.ErrInvariant.
 var ErrInvariant = sim.ErrInvariant
 
-// SweepJob is one simulation of a parallel sweep; see sweep.Job.
-type SweepJob = sweep.Job
-
-// SweepOutcome is one sweep job's result; see sweep.Outcome.
-type SweepOutcome = sweep.Outcome
-
-// SweepOptions tunes a sweep; see sweep.Options.
-type SweepOptions = sweep.Options
-
-// RunSweep fans independent simulations over a worker pool with
-// deterministic, job-ordered aggregation; see sweep.Run. The
-// experiment drivers (Fig7Data ... ServingData) run on it — see
-// SetSweepParallelism for their worker cap.
-func RunSweep(jobs []SweepJob, opts SweepOptions) []SweepOutcome { return sweep.Run(jobs, opts) }
-
-// SweepError returns the first failed outcome's error, annotated with
-// the job's labels; see sweep.FirstError.
-func SweepError(outs []SweepOutcome) error { return sweep.FirstError(outs) }
-
 // Baseline schedulers (§III-B, Fig 6).
 
 // NewFIFO returns the network-serial baseline with double-buffered
@@ -233,9 +213,6 @@ func NewPREMA(priority []float64) Scheduler { return sched.NewPREMA(priority) }
 
 // Mechanisms selects active AI-MT mechanisms; see core.Mechanisms.
 type Mechanisms = core.Mechanisms
-
-// PrefetchOnly enables only MB prefetching (Fig 14 first bar).
-func PrefetchOnly() Mechanisms { return core.Prefetch() }
 
 // PrefetchMerge enables MB prefetching and CB merging.
 func PrefetchMerge() Mechanisms { return core.PrefetchMerge() }
@@ -545,10 +522,6 @@ type RequestAttribution = rtrace.Attribution
 // instance for span attribution; it implements Tracer, so attach it
 // via RunOptions.Tracer; see rtrace.Collector.
 type RequestTraceCollector = rtrace.Collector
-
-// RequestSegmentKinds lists the attribution segment labels in
-// canonical report order.
-var RequestSegmentKinds = rtrace.SegmentKinds
 
 // NewRequestTraceStore returns a bounded request-trace store.
 func NewRequestTraceStore(opt RequestTraceOptions) *RequestTraceStore { return rtrace.NewStore(opt) }

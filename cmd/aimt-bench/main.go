@@ -19,7 +19,7 @@ import (
 	"os"
 
 	"aimt"
-	"aimt/internal/profiling"
+	"aimt/internal/obs"
 )
 
 func main() {
@@ -33,7 +33,7 @@ func main() {
 	flag.Parse()
 	aimt.SetSweepParallelism(*parallel)
 
-	stop, err := profiling.Start(*cpuprofile, *memprofile)
+	stop, err := obs.StartProfile(*cpuprofile, *memprofile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "aimt-bench: %v\n", err)
 		os.Exit(1)

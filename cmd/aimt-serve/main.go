@@ -91,7 +91,7 @@ import (
 	"time"
 
 	"aimt"
-	"aimt/internal/profiling"
+	"aimt/internal/obs"
 	"aimt/internal/serve"
 )
 
@@ -148,7 +148,7 @@ func main() {
 	flag.IntVar(&opts.rtrace, "rtrace", -1, "request tracing: sample 1-in-N requests into the tail-attribution store (0 = off, -1 = auto: on with -admin)")
 	flag.Parse()
 
-	stop, err := profiling.Start(*cpuprofile, *memprofile)
+	stop, err := obs.StartProfile(*cpuprofile, *memprofile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "aimt-serve: %v\n", err)
 		os.Exit(1)
@@ -330,7 +330,7 @@ func run(opts options) error {
 
 	if opts.admin != "" {
 		mux := aimt.ObsHandler(reg, led)
-		profiling.AttachPprof(mux)
+		obs.AttachPprof(mux)
 		// The /runs dashboard serves the checked-in bench artifacts as
 		// seed history ahead of whatever this sweep appends.
 		seeds, err := aimt.LoadBenchHistory(opts.benchseed)

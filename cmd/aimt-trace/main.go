@@ -163,7 +163,7 @@ func run(mixSpec, schedName string, batch, width int, jsonOut string, utilWindow
 			return err
 		}
 		defer f.Close()
-		if err := rec.WriteChromeTrace(f); err != nil {
+		if err := trace.WriteChromeTracks(f, rec.EngineTracks(1, "")); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %d events to %s\n", len(rec.Events), jsonOut)

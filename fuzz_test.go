@@ -2,6 +2,7 @@ package aimt
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"aimt/internal/cluster"
@@ -180,20 +181,7 @@ func FuzzStream(f *testing.F) {
 			picks = picks[:10]
 		}
 		cfg := scenarioConfig(t, 8)
-		protos := []*Compiled{
-			block("comp", cfg, 2, 9, 3, 1),
-			block("mem", cfg, 9, 2, 3, 2),
-			block("mix", cfg, 5, 5, 2, 1),
-		}
-		var nets []*Compiled
-		var arrivals, deadlines []Cycles
-		var at Cycles
-		for _, b := range picks {
-			nets = append(nets, protos[int(b)%len(protos)])
-			at += Cycles(b) * 7
-			arrivals = append(arrivals, at)
-			deadlines = append(deadlines, at+Cycles(b%5)*100+1)
-		}
+		nets, arrivals, deadlines := fuzzMix(cfg, picks)
 		table := sched.Table()
 		p := table[int(schedPick)%len(table)]
 		res, err := Run(cfg, nets, p.New(cfg, testWorkload{nets, deadlines}), RunOptions{
@@ -285,7 +273,6 @@ func FuzzAdmission(f *testing.F) {
 			Admission: ctlPick%2 == 0,
 			Autoscale: pick(8)%2 == 1,
 			MinChips:  int(pick(9)) % (chips + 1),
-			Patience:  int(pick(10) % 16),
 		}
 		res, err := ClusterServe(cfg, stream, spec, pol.New(), ClusterOptions{
 			Chips:           chips,
@@ -346,6 +333,190 @@ func FuzzAdmission(f *testing.F) {
 		}
 		if got := int(res.Agg.Latency.Count()) + res.Agg.Shed; got != offered {
 			t.Fatalf("report served %d + shed %d != offered %d", res.Agg.Latency.Count(), res.Agg.Shed, offered)
+		}
+	})
+}
+
+// fuzzMix decodes picks into a mix of small single-layer networks
+// (compute-heavy, memory-heavy, balanced), one per pick, with
+// staggered arrivals and per-network deadlines.
+func fuzzMix(cfg Config, picks []byte) (nets []*Compiled, arrivals, deadlines []Cycles) {
+	protos := []*Compiled{
+		block("comp", cfg, 2, 9, 3, 1),
+		block("mem", cfg, 9, 2, 3, 2),
+		block("mix", cfg, 5, 5, 2, 1),
+	}
+	var at Cycles
+	for _, b := range picks {
+		nets = append(nets, protos[int(b)%len(protos)])
+		at += Cycles(b) * 7
+		arrivals = append(arrivals, at)
+		deadlines = append(deadlines, at+Cycles(b%5)*100+1)
+	}
+	return nets, arrivals, deadlines
+}
+
+// fuzzHostConfig is scenarioConfig plus a host (PCIe) link drawn from
+// pick — none, or 1-3 bytes per cycle — so input transfers take real
+// time and the host path is part of what the fuzzers exercise.
+func fuzzHostConfig(t *testing.T, pick byte) Config {
+	cfg := scenarioConfig(t, 8)
+	cfg.HostBandwidth = int64(pick%4) * cfg.FreqHz
+	return cfg
+}
+
+// fuzzServeStream decodes picks into a small serving stream over two
+// tiny classes. The second is transformer-shaped — a prefill plus a
+// drawn number (possibly zero) of chained decode steps — so streams
+// exercise ChainAfter as well as plain single-phase requests.
+func fuzzServeStream(cfg Config, picks []byte) (*ServeStream, error) {
+	pick := func(i int) byte { return picks[i%len(picks)] }
+	a := NewNetwork("fz-a", 1, 4, 4)
+	a.FC("f1", int(pick(0)%16)+1)
+	b := NewNetwork("fz-b", 2, 4, 4)
+	b.FC("c1", int(pick(1)%32)+1)
+	b.FC("c2", 4)
+	d := NewNetwork("fz-d", 4, 1, 1)
+	d.FC("d1", int(pick(2)%8)+1)
+	var nets [3]*Network
+	for i, bld := range []*NetworkBuilder{a, b, d} {
+		n, err := bld.Build()
+		if err != nil {
+			return nil, err
+		}
+		nets[i] = n
+	}
+	var seed int64
+	for _, p := range picks {
+		seed = seed*31 + int64(p)
+	}
+	process := ServePoisson
+	if pick(3)%2 == 1 {
+		process = ServeBursty
+	}
+	return NewServeStream(cfg, []ServeClass{
+		{Name: "a", Net: nets[0], Weight: float64(pick(4)%3) + 1},
+		{Name: "b", Net: nets[1], Weight: float64(pick(5)%3) + 1,
+			DecodeNet: nets[2], Decode: int(pick(6) % 4)},
+	}, ServeStreamOptions{
+		Requests: int(pick(7)%24) + 4,
+		MeanGap:  Cycles(pick(8)%200) + 1,
+		Process:  process,
+		Seed:     seed,
+	})
+}
+
+// FuzzSnapshotRestore cuts a run at an arbitrary cycle: a small mix
+// (streamPick even) or serving stream (odd) runs under a scheduler
+// from the table to the cut, is snapshotted, runs to completion, is
+// restored to the cut and runs to completion again. Both completions
+// must equal the uninterrupted run bit for bit, with the machine-model
+// invariant checker on throughout. The cut is drawn up to twice the
+// makespan, so snapshots of a finished run are covered too.
+func FuzzSnapshotRestore(f *testing.F) {
+	f.Add([]byte{0, 1, 2}, uint8(0), uint8(8), uint8(64))
+	f.Add([]byte{5, 5, 5, 5}, uint8(1), uint8(14), uint8(200))
+	f.Add([]byte{255, 0, 128, 64, 32}, uint8(2), uint8(10), uint8(1))
+	f.Add([]byte{9, 3, 7, 1, 2, 8, 4, 6, 5}, uint8(3), uint8(12), uint8(128))
+	f.Fuzz(func(t *testing.T, picks []byte, streamPick, schedPick, cutPick uint8) {
+		if len(picks) == 0 {
+			return
+		}
+		if len(picks) > 10 {
+			picks = picks[:10]
+		}
+		cfg := fuzzHostConfig(t, picks[len(picks)-1])
+		pickIdx := int(schedPick) % len(sched.Table())
+		entry := sched.Table()[pickIdx]
+		var nets []*Compiled
+		var mk func() Scheduler
+		opts := RunOptions{CheckInvariants: true}
+		if streamPick%2 == 0 {
+			var deadlines []Cycles
+			nets, opts.Arrivals, deadlines = fuzzMix(cfg, picks)
+			mk = func() Scheduler { return entry.New(cfg, testWorkload{nets, deadlines}) }
+		} else {
+			s, err := fuzzServeStream(cfg, picks)
+			if err != nil {
+				return
+			}
+			nets, opts.Arrivals, opts.ChainAfter = s.Nets, s.Arrivals, s.ChainAfter
+			spec := ServeSchedulers()[pickIdx] // entry, adapted to streams
+			mk = func() Scheduler { return spec.New(cfg, s) }
+		}
+
+		ref, err := Run(cfg, nets, mk(), opts)
+		if err != nil {
+			t.Fatalf("%s: reference run: %v", entry.Name, err)
+		}
+		cut := ref.Makespan * Cycles(cutPick) / 128
+		eng, err := NewEngine(cfg, nets, mk(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.StepUntil(cut); err != nil {
+			t.Fatalf("%s: StepUntil(%d): %v", entry.Name, cut, err)
+		}
+		snap := eng.Snapshot(nil)
+		resumed, err := eng.Run()
+		if err != nil {
+			t.Fatalf("%s cut %d: resumed run: %v", entry.Name, cut, err)
+		}
+		if !reflect.DeepEqual(resumed, ref) {
+			t.Fatalf("%s cut %d: resumed run diverged:\n got %+v\nwant %+v", entry.Name, cut, resumed, ref)
+		}
+		if err := eng.Restore(snap); err != nil {
+			t.Fatalf("%s cut %d: Restore: %v", entry.Name, cut, err)
+		}
+		replayed, err := eng.Run()
+		if err != nil {
+			t.Fatalf("%s cut %d: replayed run: %v", entry.Name, cut, err)
+		}
+		if !reflect.DeepEqual(replayed, ref) {
+			t.Fatalf("%s cut %d: restored replay diverged:\n got %+v\nwant %+v", entry.Name, cut, replayed, ref)
+		}
+	})
+}
+
+// FuzzRequestSpans attributes a small serving stream's requests under
+// a scheduler from the table: every span's segments must sum exactly
+// to its latency, and its intervals must tile [arrive, finish) with
+// no gaps or overlaps (assertSpanReconciles), one span per request.
+func FuzzRequestSpans(f *testing.F) {
+	f.Add([]byte{0, 1, 2}, uint8(0))
+	f.Add([]byte{5, 5, 5, 5, 1, 1, 3}, uint8(8))
+	f.Add([]byte{255, 0, 128, 64, 32, 7, 9}, uint8(10))
+	f.Add([]byte{9, 3, 7, 1, 2, 8, 4, 6, 5}, uint8(14))
+	f.Fuzz(func(t *testing.T, picks []byte, schedPick uint8) {
+		if len(picks) == 0 {
+			return
+		}
+		if len(picks) > 10 {
+			picks = picks[:10]
+		}
+		cfg := fuzzHostConfig(t, picks[len(picks)-1])
+		s, err := fuzzServeStream(cfg, picks)
+		if err != nil {
+			return
+		}
+		specs := ServeSchedulers()
+		spec := specs[int(schedPick)%len(specs)]
+		col := NewRequestTraceCollector(len(s.Nets))
+		res, err := Run(cfg, s.Nets, spec.New(cfg, s), RunOptions{
+			Arrivals:        s.Arrivals,
+			ChainAfter:      s.ChainAfter,
+			CheckInvariants: true,
+			Tracer:          col,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		spans := BuildRequestSpans(s, res, spec.Name, col)
+		if len(spans) != s.Requests {
+			t.Fatalf("%s: %d spans for %d requests", spec.Name, len(spans), s.Requests)
+		}
+		for _, sp := range spans {
+			assertSpanReconciles(t, sp)
 		}
 	})
 }

@@ -124,18 +124,6 @@ type Result struct {
 	Spans []rtrace.RequestSpan
 }
 
-// Dispatch routes every request of the stream to a chip under the
-// policy, in arrival order, with the control plane off, and returns the
-// entry-to-chip assignment. The dispatcher's backlog estimates advance
-// with each routed entry's service estimate. Routing is
-// request-granular: a decode entry inherits its predecessor's chip
-// without consulting the policy — its KV cache lives there — but still
-// advances that chip's backlog by the decode service estimate.
-func Dispatch(s *serve.Stream, pol Policy, chips int) ([]int, error) {
-	assign, _, _, err := dispatch(s, pol, chips, Control{}, nil, nil, nil)
-	return assign, err
-}
-
 // Serve routes the stream across the cluster under the policy, runs
 // every chip's sub-stream on its own engine (one scheduler instance
 // per chip, built by spec), and merges per-chip and aggregate reports.

@@ -46,7 +46,7 @@ func TestDispatchConservesRequests(t *testing.T) {
 		s := testStream(t, cfg, 40+int(seed)*17, seed)
 		for _, chips := range []int{1, 2, 3, 5, 8, 64} {
 			for _, pspec := range Policies() {
-				assign, err := Dispatch(s, pspec.New(), chips)
+				assign, _, _, err := dispatch(s, pspec.New(), chips, Control{}, nil, nil, nil)
 				if err != nil {
 					t.Fatalf("seed %d %s x%d: %v", seed, pspec.Name, chips, err)
 				}
@@ -146,7 +146,7 @@ func TestClassAffinityPinsClasses(t *testing.T) {
 	s := testStream(t, cfg, 80, 5)
 	classes := len(s.Classes)
 	for _, chips := range []int{classes, 2 * classes} {
-		assign, err := Dispatch(s, ClassAffinity{}, chips)
+		assign, _, _, err := dispatch(s, ClassAffinity{}, chips, Control{}, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +172,7 @@ func TestLeastWorkBalances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assign, err := Dispatch(s, LeastWork{}, 4)
+	assign, _, _, err := dispatch(s, LeastWork{}, 4, Control{}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,10 +233,10 @@ func TestLoadCurveShapes(t *testing.T) {
 func TestDispatchRejectsBadPolicy(t *testing.T) {
 	cfg := testConfig(t)
 	s := testStream(t, cfg, 4, 1)
-	if _, err := Dispatch(s, badPolicy{}, 2); err == nil {
+	if _, _, _, err := dispatch(s, badPolicy{}, 2, Control{}, nil, nil, nil); err == nil {
 		t.Error("out-of-range pick accepted")
 	}
-	if _, err := Dispatch(s, LeastWork{}, 0); err == nil {
+	if _, _, _, err := dispatch(s, LeastWork{}, 0, Control{}, nil, nil, nil); err == nil {
 		t.Error("zero-chip cluster accepted")
 	}
 }

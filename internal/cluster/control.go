@@ -25,27 +25,27 @@ type Control struct {
 
 	// Autoscale enables elastic sizing of the active chip set: the
 	// dispatcher starts at MinChips and grows toward Options.Chips
-	// when the mean backlog depth per active chip stays above UpDepth
-	// for Patience consecutive arrivals, shrinking symmetrically below
-	// DownDepth. Hysteresis comes from the gap between the two
-	// thresholds plus the patience run length.
+	// when the mean backlog depth per active chip stays above
+	// scaleUpDepth for scalePatience consecutive arrivals, shrinking
+	// symmetrically below scaleDownDepth. Hysteresis comes from the
+	// gap between the two thresholds plus the patience run length.
 	Autoscale bool
 
 	// MinChips is the autoscaler's floor; <= 0 means 1. It is clamped
 	// to Options.Chips, so MinChips == Chips pins the active set (the
 	// autoscaler becomes a recorded no-op).
 	MinChips int
-
-	// UpDepth and DownDepth are backlog depths in units of mean
-	// request service per active chip: grow above UpDepth (<= 0 means
-	// 3), shrink below DownDepth (<= 0 means 0.5). DownDepth is forced
-	// below UpDepth.
-	UpDepth, DownDepth float64
-
-	// Patience is how many consecutive arrivals must cross a threshold
-	// before the active set changes; <= 0 means 8.
-	Patience int
 }
+
+// The autoscaler's thresholds. Depths are backlog in units of mean
+// request service per active chip; scalePatience is how many
+// consecutive arrivals must cross a threshold before the active set
+// changes.
+const (
+	scaleUpDepth   = 3.0
+	scaleDownDepth = 0.5
+	scalePatience  = 8
+)
 
 // ctlStats carries the dispatch-time control-plane outcome into the
 // cluster result.
@@ -94,22 +94,6 @@ func dispatch(s *serve.Stream, pol Policy, chips int, ctl Control, pred *predict
 	if minChips > chips {
 		minChips = chips
 	}
-	up := ctl.UpDepth
-	if up <= 0 {
-		up = 3
-	}
-	down := ctl.DownDepth
-	if down <= 0 {
-		down = 0.5
-	}
-	if down >= up {
-		down = up / 2
-	}
-	patience := ctl.Patience
-	if patience <= 0 {
-		patience = 8
-	}
-
 	active := chips
 	if ctl.Autoscale {
 		active = minChips
@@ -133,7 +117,6 @@ func dispatch(s *serve.Stream, pol Policy, chips int, ctl Control, pred *predict
 		chips:   active,
 		classes: len(s.Classes),
 		freeAt:  make([]arch.Cycles, chips),
-		counts:  make([]int, chips),
 		pred:    pred,
 	}
 	assign := make([]int, len(s.Nets))
@@ -184,21 +167,21 @@ func dispatch(s *serve.Stream, pol Policy, chips int, ctl Control, pred *predict
 			}
 			depth := float64(backlog) / (float64(active) * s.MeanService)
 			switch {
-			case depth > up:
+			case depth > scaleUpDepth:
 				upRun++
 				downRun = 0
-			case depth < down:
+			case depth < scaleDownDepth:
 				downRun++
 				upRun = 0
 			default:
 				upRun, downRun = 0, 0
 			}
-			if upRun >= patience && active < chips {
+			if upRun >= scalePatience && active < chips {
 				active++
 				upRun, downRun = 0, 0
 				st.scaleUps++
 				ctlNote(led, r.Arrival, obs.KindScaleUp, -1, arch.Cycles(active))
-			} else if downRun >= patience && active > minChips {
+			} else if downRun >= scalePatience && active > minChips {
 				active--
 				upRun, downRun = 0, 0
 				st.scaleDowns++

@@ -98,7 +98,7 @@ func TestAutoscalerHysteresis(t *testing.T) {
 		t.Errorf("light load scaled: %d ups, %d active, want 0 and 1", lst.scaleUps, lst.active)
 	}
 
-	ref, err := Dispatch(hot, LeastWork{}, 4)
+	ref, _, _, err := dispatch(hot, LeastWork{}, 4, Control{}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestAutoscalerHysteresis(t *testing.T) {
 		t.Errorf("pinned autoscaler moved: %+v", pst)
 	}
 	if !reflect.DeepEqual(pin, ref) {
-		t.Error("pinned autoscaler routed differently from plain Dispatch")
+		t.Error("pinned autoscaler routed differently from the uncontrolled dispatch")
 	}
 	for i, sh := range pinShed {
 		if sh {

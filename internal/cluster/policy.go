@@ -43,7 +43,6 @@ type View struct {
 	chips   int
 	classes int
 	freeAt  []arch.Cycles // estimated cycle each chip drains its queue
-	counts  []int         // requests routed to each chip so far
 
 	// pred, attached for the predictive policy, refines ETA queries
 	// by bounded forward simulation of the chip's recent workload on
@@ -91,9 +90,6 @@ func (v *View) PredictETA(chip int, r Request) arch.Cycles {
 	return v.pred.eta(chip, r, static)
 }
 
-// Routed returns how many requests chip has received so far.
-func (v *View) Routed(chip int) int { return v.counts[chip] }
-
 // route records the dispatch of r to chip.
 func (v *View) route(chip int, r Request) {
 	start := v.freeAt[chip]
@@ -101,7 +97,6 @@ func (v *View) route(chip int, r Request) {
 		start = r.Arrival
 	}
 	v.freeAt[chip] = start + r.Service
-	v.counts[chip]++
 	if v.pred != nil {
 		v.pred.record(chip, r.Index)
 	}

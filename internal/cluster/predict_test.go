@@ -16,7 +16,7 @@ func TestPredictETAStaticFallbacks(t *testing.T) {
 	cfg := testConfig(t)
 	s := prioStream(t, cfg, 50, 9, 2.0, 2)
 	r := Request{Index: 3, Class: s.ClassOf[3], Arrival: s.Arrivals[3], Service: s.EntryService(3)}
-	v := &View{chips: 2, classes: len(s.Classes), freeAt: make([]arch.Cycles, 2), counts: make([]int, 2)}
+	v := &View{chips: 2, classes: len(s.Classes), freeAt: make([]arch.Cycles, 2)}
 	v.freeAt[0] = r.Arrival + 500
 	if got, want := v.PredictETA(0, r), v.ETA(0, r); got != want {
 		t.Errorf("no predictor: PredictETA %d != static ETA %d", got, want)
@@ -37,7 +37,7 @@ func TestPredictETAStaticFallbacks(t *testing.T) {
 func TestPredictiveDeadlineDiffersFromStatic(t *testing.T) {
 	cfg := testConfig(t)
 	s := prioStream(t, cfg, 200, 9, 3.0, 2)
-	static, err := Dispatch(s, Deadline{}, 2)
+	static, _, _, err := dispatch(s, Deadline{}, 2, Control{}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

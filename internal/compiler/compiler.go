@@ -25,14 +25,6 @@ import (
 	"aimt/internal/nn"
 )
 
-// Task identifies one compiled weight layer of one network instance.
-type Task struct {
-	// Layer is the index into CompiledNetwork.Layers.
-	Layer int
-	// Iter is the sub-layer index within the layer, 0-based.
-	Iter int
-}
-
 // CompiledLayer is one row of the sub-layer scheduling table.
 type CompiledLayer struct {
 	// Name is the source layer name, e.g. "conv3_2".

@@ -40,11 +40,6 @@ type AIMT struct {
 	// (Algorithm 2 line 5).
 	mergeThreshold arch.Cycles
 
-	// pressureBlocks is the free-block level below which the smallest
-	// compute blocks run first (§IV-C: "when the SRAM is short of the
-	// free region").
-	pressureBlocks int
-
 	// splitMinRemaining is the smallest remaining compute time worth
 	// halting for; it amortizes the PE refill penalty.
 	splitMinRemaining arch.Cycles
@@ -153,9 +148,10 @@ func All() Mechanisms { return Mechanisms{Merge: true, Evict: true, Split: true}
 
 // New returns an AI-MT scheduler for the given hardware configuration.
 // Thresholds default from the configuration: the merge threshold is
-// two FC memory-block durations, eviction pressure is one FC memory
-// block of free space, and splits require at least four PE fill times
-// of remaining work.
+// two FC memory-block durations, and splits require at least four PE
+// fill times of remaining work. Capacity recovery (smallest compute
+// blocks first) is triggered by the early-eviction reservation, not by
+// a free-block level; see underPressure.
 func New(cfg arch.Config, m Mechanisms) *AIMT {
 	fcMB := cfg.ReadCyclesPerArray() * arch.Cycles(cfg.NumArrays)
 	name := "AI-MT(PF)"
@@ -174,7 +170,6 @@ func New(cfg arch.Config, m Mechanisms) *AIMT {
 		evictActive:       -1,
 		split:             m.Evict && m.Split,
 		mergeThreshold:    2 * fcMB,
-		pressureBlocks:    cfg.NumArrays,
 		splitMinRemaining: 4 * cfg.FillLatency,
 	}
 }
@@ -192,12 +187,6 @@ const (
 // studies). It returns the scheduler for chaining.
 func (a *AIMT) SetMergeThreshold(t arch.Cycles) *AIMT {
 	a.mergeThreshold = t
-	return a
-}
-
-// SetPressureBlocks overrides the eviction-pressure level in blocks.
-func (a *AIMT) SetPressureBlocks(n int) *AIMT {
-	a.pressureBlocks = n
 	return a
 }
 

@@ -233,8 +233,8 @@ func TestSplitTriggersUnderPressure(t *testing.T) {
 
 func TestSettersChain(t *testing.T) {
 	cfg := testConfig(t)
-	a := New(cfg, All()).SetMergeThreshold(123).SetPressureBlocks(7).SetExactAVL(false)
-	if a.mergeThreshold != 123 || a.pressureBlocks != 7 || a.avlMode != avlLeaky {
+	a := New(cfg, All()).SetMergeThreshold(123).SetExactAVL(false)
+	if a.mergeThreshold != 123 || a.avlMode != avlLeaky {
 		t.Errorf("setters did not apply: %+v", a)
 	}
 	a.SetExactAVL(true)

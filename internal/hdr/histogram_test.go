@@ -9,9 +9,8 @@ import (
 	"aimt/internal/arch"
 )
 
-// percentile is an exact nearest-rank reference estimator (the
-// metrics package's Percentile; duplicated here because metrics sits
-// above the simulator in the import graph).
+// percentile is an exact nearest-rank reference estimator over a
+// sorted copy of vals.
 func percentile(vals []arch.Cycles, p float64) arch.Cycles {
 	if len(vals) == 0 || math.IsNaN(p) {
 		return 0

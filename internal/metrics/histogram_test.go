@@ -22,9 +22,6 @@ func TestEmptyInputGuards(t *testing.T) {
 	if ANTT(nil, empty) != 0 {
 		t.Error("ANTT with no networks != 0")
 	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("Percentile(nil) != 0")
-	}
 	if got := Latencies(empty); len(got) != 0 {
 		t.Errorf("Latencies(empty) = %v, want empty", got)
 	}

@@ -7,7 +7,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"aimt/internal/arch"
@@ -93,29 +92,6 @@ func Imbalance(vals []float64) float64 {
 		return 0
 	}
 	return top*float64(len(vals))/sum - 1
-}
-
-// Percentile returns the p-th percentile (0..100) of the values using
-// nearest-rank on a sorted copy; it returns 0 for an empty slice or a
-// NaN p. Out-of-range p clamps to the extremes. For streams too long
-// to hold a latency slice, use Histogram instead.
-func Percentile(vals []arch.Cycles, p float64) arch.Cycles {
-	if len(vals) == 0 || math.IsNaN(p) {
-		return 0
-	}
-	sorted := append([]arch.Cycles(nil), vals...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return sorted[rank]
 }
 
 // Latencies returns per-network turnaround times (finish - arrival)

@@ -86,28 +86,6 @@ func TestSTPAndANTT(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	vals := []arch.Cycles{50, 10, 40, 20, 30}
-	cases := []struct {
-		p    float64
-		want arch.Cycles
-	}{
-		{0, 10}, {20, 10}, {50, 30}, {99, 50}, {100, 50},
-	}
-	for _, tc := range cases {
-		if got := Percentile(vals, tc.p); got != tc.want {
-			t.Errorf("Percentile(%v) = %d, want %d", tc.p, got, tc.want)
-		}
-	}
-	if got := Percentile(nil, 50); got != 0 {
-		t.Errorf("empty percentile = %d", got)
-	}
-	// The input must not be mutated.
-	if vals[0] != 50 {
-		t.Error("Percentile sorted its input in place")
-	}
-}
-
 func TestLatencies(t *testing.T) {
 	r := &sim.Result{
 		NetArrive: []arch.Cycles{0, 100},

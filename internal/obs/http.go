@@ -25,8 +25,8 @@ type snapshotBody struct {
 //	/debug/snapshot  full registry + ledger tail as JSON
 //
 // led may be nil; the snapshot then omits the ledger section. pprof
-// endpoints are attached separately (profiling.AttachPprof) so the
-// obs layer itself stays dependency-free.
+// endpoints are attached separately (AttachPprof), only where the
+// caller opts in.
 func Handler(reg *Registry, led *Ledger) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {

@@ -1,11 +1,4 @@
-// Package profiling wires pprof CPU and heap profiling into the
-// command-line drivers. Both aimt-serve and aimt-bench expose
-// -cpuprofile/-memprofile flags backed by Start, so any sweep or
-// serving run can be profiled without recompiling:
-//
-//	aimt-serve -requests 20000 -cpuprofile cpu.pprof -memprofile mem.pprof
-//	go tool pprof -top cpu.pprof
-package profiling
+package obs
 
 import (
 	"fmt"
@@ -17,7 +10,8 @@ import (
 )
 
 // AttachPprof mounts the net/http/pprof handlers under /debug/pprof/
-// on the given mux. The admin surface (aimt-serve -admin) combines
+// on the given mux (importing net/http/pprof also registers them on
+// http.DefaultServeMux, which nothing here serves). The admin surface (aimt-serve -admin) combines
 // this with the obs handler, so live runs can be profiled without the
 // file-based -cpuprofile/-memprofile flags:
 //
@@ -30,11 +24,16 @@ func AttachPprof(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/trace", netpprof.Trace)
 }
 
-// Start begins CPU profiling to cpuPath (if non-empty) and returns a
-// stop function that ends the CPU profile and writes a heap profile to
-// memPath (if non-empty). Either path may be empty; the stop function
-// is always safe to call exactly once.
-func Start(cpuPath, memPath string) (stop func() error, err error) {
+// StartProfile begins CPU profiling to cpuPath (if non-empty) and
+// returns a stop function that ends the CPU profile and writes a heap
+// profile to memPath (if non-empty). Either path may be empty; the
+// stop function is always safe to call exactly once. aimt-serve and
+// aimt-bench back their -cpuprofile/-memprofile flags with it, so any
+// sweep or serving run can be profiled without recompiling:
+//
+//	aimt-serve -requests 20000 -cpuprofile cpu.pprof -memprofile mem.pprof
+//	go tool pprof -top cpu.pprof
+func StartProfile(cpuPath, memPath string) (stop func() error, err error) {
 	var cpuFile *os.File
 	if cpuPath != "" {
 		cpuFile, err = os.Create(cpuPath)

@@ -21,9 +21,10 @@ var updateRuns = flag.Bool("update-runs", false, "rewrite the runs dashboard gol
 // serving load curve over two schedulers, and a small ledger.
 func dashboardFixture() ([]runstore.Run, *Ledger) {
 	bench := func(id string, ns, allocs float64) runstore.Run {
+		simAllocs := allocs / 7
 		rep := &runstore.BenchReport{GOOS: "linux", Benchmarks: []runstore.BenchBenchmark{
-			{Pkg: "aimt", Name: "ServeStream", NsPerOp: ns, AllocsPerOp: allocs},
-			{Pkg: "aimt", Name: "SimulatorThroughput", NsPerOp: ns / 8, AllocsPerOp: allocs / 7},
+			{Pkg: "aimt", Name: "ServeStream", NsPerOp: ns, AllocsPerOp: &allocs},
+			{Pkg: "aimt", Name: "SimulatorThroughput", NsPerOp: ns / 8, AllocsPerOp: &simAllocs},
 		}}
 		r := rep.Run(id)
 		r.Source = "seed"

@@ -21,10 +21,10 @@ type Options struct {
 	// WorstN is how many worst-latency exemplars to keep per class.
 	// <= 0 defaults to 8.
 	WorstN int
-
-	// RingCap bounds the recent-span ring. <= 0 defaults to 256.
-	RingCap int
 }
+
+// ringCap bounds the recent-span ring.
+const ringCap = 256
 
 func (o Options) withDefaults() Options {
 	if o.SampleEvery <= 0 {
@@ -32,9 +32,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.WorstN <= 0 {
 		o.WorstN = 8
-	}
-	if o.RingCap <= 0 {
-		o.RingCap = 256
 	}
 	return o
 }
@@ -131,12 +128,12 @@ func (st *Store) AddRun(spans []RequestSpan) {
 		st.addWorst(ca, sp)
 		if (st.total-1)%st.opt.SampleEvery == 0 {
 			st.sampled++
-			if len(st.ring) < st.opt.RingCap {
+			if len(st.ring) < ringCap {
 				st.ring = append(st.ring, sp)
 			} else {
 				st.ring[st.ringAt] = sp
 			}
-			st.ringAt = (st.ringAt + 1) % st.opt.RingCap
+			st.ringAt = (st.ringAt + 1) % ringCap
 		}
 	}
 }
@@ -207,7 +204,7 @@ func (st *Store) Recent() []RequestSpan {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	out := make([]RequestSpan, 0, len(st.ring))
-	if len(st.ring) == st.opt.RingCap {
+	if len(st.ring) == ringCap {
 		out = append(out, st.ring[st.ringAt:]...)
 		out = append(out, st.ring[:st.ringAt]...)
 	} else {

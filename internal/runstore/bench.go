@@ -12,13 +12,19 @@ import (
 
 // BenchBenchmark is one parsed `go test -bench` result line; the
 // JSON shape of the checked-in BENCH_*.json artifacts.
+//
+// BytesPerOp and AllocsPerOp are nil when the line carried no -benchmem
+// columns, as for some entries of older checked-in reports. A measured
+// 0 is non-nil, so it survives JSON and Run and a zero-allocation
+// benchmark that starts allocating reads as a regression; a nil entry
+// is never allocation-gated.
 type BenchBenchmark struct {
 	Pkg          string             `json:"pkg"`
 	Name         string             `json:"name"`
 	Iterations   int64              `json:"iterations"`
 	NsPerOp      float64            `json:"ns_per_op"`
-	BytesPerOp   float64            `json:"bytes_per_op,omitempty"`
-	AllocsPerOp  float64            `json:"allocs_per_op,omitempty"`
+	BytesPerOp   *float64           `json:"bytes_per_op,omitempty"`
+	AllocsPerOp  *float64           `json:"allocs_per_op,omitempty"`
 	Metrics      map[string]float64 `json:"metrics,omitempty"`
 	BlocksPerSec float64            `json:"blocks_per_sec,omitempty"`
 }
@@ -53,11 +59,11 @@ func (rep *BenchReport) Run(id string) Run {
 			r.Metrics = append(r.Metrics, Metric{Name: b.Key() + " " + unit, Value: v, Unit: unit})
 		}
 		add("ns/op", b.NsPerOp)
-		if b.BytesPerOp > 0 {
-			add("B/op", b.BytesPerOp)
+		if b.BytesPerOp != nil {
+			add("B/op", *b.BytesPerOp)
 		}
-		if b.AllocsPerOp > 0 {
-			add("allocs/op", b.AllocsPerOp)
+		if b.AllocsPerOp != nil {
+			add("allocs/op", *b.AllocsPerOp)
 		}
 		if b.BlocksPerSec > 0 {
 			add("blocks/s", b.BlocksPerSec)

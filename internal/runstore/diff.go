@@ -13,7 +13,7 @@ const (
 	VerdictImprovement = "improvement"
 	VerdictMissing     = "missing" // in old, absent from new
 	VerdictAdded       = "added"   // in new, absent from old
-	VerdictInfo        = "info"    // direction unknown or old value zero
+	VerdictInfo        = "info"    // unit has no regression direction
 )
 
 // Direction returns how a metric unit reads: -1 when lower is better
@@ -69,8 +69,9 @@ func (d *Diff) Regressed() bool { return len(d.Regressions()) > 0 }
 // DiffRuns compares new against old. noise is the multiplicative
 // tolerance (1.25 = 25% drift allowed); values below 1 mean none.
 // Rows follow old's metric order, then new-only metrics in new's
-// order. A metric whose old value is zero cannot be ratio-gated and
-// reads as info.
+// order. A metric whose old value is zero has no ratio: any move away
+// from zero reads as a regression or improvement by its unit's
+// direction regardless of noise, and as info for directionless units.
 func DiffRuns(old, new Run, noise float64) *Diff {
 	if noise < 1 {
 		noise = 1
@@ -91,10 +92,19 @@ func DiffRuns(old, new Run, noise float64) *Diff {
 		row := DiffRow{Metric: om.Name, Unit: om.Unit, Old: om.Value, New: nm.Value}
 		switch {
 		case om.Value == 0:
-			row.Verdict = VerdictInfo
-			if nm.Value == 0 {
+			// No ratio exists, but leaving zero in either direction is
+			// still a change: a zero-allocation benchmark that starts
+			// allocating regressed at any noise level.
+			switch dir := Direction(om.Unit); {
+			case nm.Value == 0:
 				row.Verdict = VerdictOK
 				row.Ratio = 1
+			case dir < 0 && nm.Value > 0, dir > 0 && nm.Value < 0:
+				row.Verdict = VerdictRegression
+			case dir != 0:
+				row.Verdict = VerdictImprovement
+			default:
+				row.Verdict = VerdictInfo
 			}
 		default:
 			row.Ratio = nm.Value / om.Value
@@ -124,7 +134,8 @@ func DiffRuns(old, new Run, noise float64) *Diff {
 }
 
 // WriteText renders the diff as an aligned table plus a one-line
-// summary — the structured artifact `make bench-compare` prints.
+// summary — the structured artifact `make benchcheck` and
+// `make bench-compare` print.
 func (d *Diff) WriteText(w io.Writer) error {
 	wide := len("metric")
 	for _, r := range d.Rows {

@@ -2,6 +2,7 @@ package runstore
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -12,7 +13,7 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 
 func benchRun(id string, ns, allocs float64) Run {
 	rep := &BenchReport{Benchmarks: []BenchBenchmark{
-		{Pkg: "aimt", Name: "SimulatorThroughput", NsPerOp: ns, AllocsPerOp: allocs,
+		{Pkg: "aimt", Name: "SimulatorThroughput", NsPerOp: ns, AllocsPerOp: &allocs,
 			Metrics: map[string]float64{"blocks/op": 9318}, BlocksPerSec: 9318 / (ns * 1e-9)},
 	}}
 	return rep.Run(id)
@@ -112,5 +113,59 @@ func TestDiffGolden(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("diff output drifted (use -update if intentional):\n--- got\n%s--- want\n%s", buf.String(), want)
+	}
+}
+
+// TestDiffFromZero: a metric whose old value is zero has no ratio,
+// but leaving zero still reads by the unit's direction, at any noise.
+func TestDiffFromZero(t *testing.T) {
+	verdict := func(unit string, old, new float64) string {
+		d := DiffRuns(
+			Run{Metrics: []Metric{{Name: "m", Value: old, Unit: unit}}},
+			Run{Metrics: []Metric{{Name: "m", Value: new, Unit: unit}}}, 1e9)
+		return d.Rows[0].Verdict
+	}
+	for _, tc := range []struct {
+		unit     string
+		old, new float64
+		want     string
+	}{
+		{"allocs/op", 0, 50, VerdictRegression},
+		{"allocs/op", 50, 0, VerdictImprovement},
+		{"allocs/op", 0, 0, VerdictOK},
+		{"blocks/s", 0, 5, VerdictImprovement},
+		{"frac", 0, 0.5, VerdictInfo},
+	} {
+		if got := verdict(tc.unit, tc.old, tc.new); got != tc.want {
+			t.Errorf("%s %v -> %v: verdict %s, want %s", tc.unit, tc.old, tc.new, got, tc.want)
+		}
+	}
+}
+
+// TestBenchReportKeepsMeasuredZero: a measured 0 allocs/op survives
+// the JSON round trip into a Run metric; an unrecorded one stays
+// absent.
+func TestBenchReportKeepsMeasuredZero(t *testing.T) {
+	zero := 0.0
+	raw, err := json.Marshal(BenchReport{Benchmarks: []BenchBenchmark{
+		{Pkg: "p", Name: "Zero", NsPerOp: 1, BytesPerOp: &zero, AllocsPerOp: &zero},
+		{Pkg: "p", Name: "Unmeasured", NsPerOp: 1},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep BenchReport
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	r := rep.Run("x")
+	if v, ok := r.Metric("p.Zero allocs/op"); !ok || v != 0 {
+		t.Errorf("measured 0 allocs/op: Metric = %v, %v; want 0, true", v, ok)
+	}
+	if _, ok := r.Metric("p.Zero B/op"); !ok {
+		t.Error("measured 0 B/op dropped")
+	}
+	if _, ok := r.Metric("p.Unmeasured allocs/op"); ok {
+		t.Error("unmeasured allocs/op appeared as a metric")
 	}
 }

@@ -4,8 +4,8 @@
 // identifying labels (scheduler, routing policy, mix, commit, ...)
 // plus flat per-metric rows. The shape follows benchmark-results
 // schemas from end-to-end system analyzers: a run is the unit of
-// provenance, metrics are the unit of comparison, and everything is
-// filterable without a database.
+// provenance, metrics are the unit of comparison, and no database is
+// needed.
 //
 // The store is deliberately crash-tolerant in the one way an
 // append-only log needs to be: a torn final line (the writer died
@@ -147,7 +147,7 @@ func Open(dir string) (*Store, error) {
 }
 
 // nextSeq returns one past the highest run-NNNNNN sequence in use, so
-// assigned IDs never collide with survivors of a Compact.
+// assigned IDs never collide with runs already in the log.
 func nextSeq(runs []Run) int {
 	max := 0
 	for _, r := range runs {
@@ -185,8 +185,8 @@ func (s *Store) Runs() []Run {
 	return out
 }
 
-// Get returns the run with the given ID (the latest, if Compact has
-// not yet folded duplicates).
+// Get returns the run with the given ID (the latest, if the log holds
+// several runs under it).
 func (s *Store) Get(id string) (Run, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -231,78 +231,6 @@ func (s *Store) Append(r Run) (Run, error) {
 	}
 	s.runs = append(s.runs, r)
 	return r, nil
-}
-
-// Query filters runs; zero fields match everything.
-type Query struct {
-	// Source, when non-empty, must equal Run.Source.
-	Source string
-	// Labels must all be present with equal values.
-	Labels map[string]string
-}
-
-// Match reports whether the run satisfies the query.
-func (q Query) Match(r Run) bool {
-	if q.Source != "" && r.Source != q.Source {
-		return false
-	}
-	for k, v := range q.Labels {
-		if r.Labels[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// Select returns the runs matching q, in append order.
-func (s *Store) Select(q Query) []Run {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []Run
-	for _, r := range s.runs {
-		if q.Match(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// Compact rewrites the log keeping only the latest run per ID
-// (append order otherwise preserved), atomically via a temp file and
-// rename. It returns how many duplicate entries were dropped.
-func (s *Store) Compact() (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	byID := map[string]int{}
-	var kept []Run
-	for _, r := range s.runs {
-		if i, ok := byID[r.ID]; ok {
-			kept[i] = r
-			continue
-		}
-		byID[r.ID] = len(kept)
-		kept = append(kept, r)
-	}
-	dropped := len(s.runs) - len(kept)
-	var buf bytes.Buffer
-	for _, r := range kept {
-		line, err := json.Marshal(r)
-		if err != nil {
-			return 0, err
-		}
-		buf.Write(line)
-		buf.WriteByte('\n')
-	}
-	tmp := s.path + ".tmp"
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
-		return 0, err
-	}
-	if err := os.Rename(tmp, s.path); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	s.runs = kept
-	return dropped, nil
 }
 
 // CurrentCommit returns the working tree's short git commit, or ""

@@ -59,60 +59,6 @@ func TestAppendReopenRoundtrip(t *testing.T) {
 	}
 }
 
-func TestSelect(t *testing.T) {
-	s := openFixed(t, t.TempDir())
-	seed := []Run{
-		{Source: "serve", Labels: map[string]string{"sched": "AI-MT", "load": "0.80"}},
-		{Source: "serve", Labels: map[string]string{"sched": "FIFO", "load": "0.80"}},
-		{Source: "bench", Labels: map[string]string{"goos": "linux"}},
-	}
-	for _, r := range seed {
-		if _, err := s.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := s.Select(Query{Source: "serve"}); len(got) != 2 {
-		t.Fatalf("Select(serve) = %d runs, want 2", len(got))
-	}
-	got := s.Select(Query{Source: "serve", Labels: map[string]string{"sched": "AI-MT"}})
-	if len(got) != 1 || got[0].Labels["load"] != "0.80" {
-		t.Fatalf("Select(serve, AI-MT) = %+v", got)
-	}
-	if got := s.Select(Query{Labels: map[string]string{"sched": "EDF"}}); len(got) != 0 {
-		t.Fatalf("Select(EDF) = %+v, want none", got)
-	}
-}
-
-func TestCompactDropsDuplicateIDs(t *testing.T) {
-	dir := t.TempDir()
-	s := openFixed(t, dir)
-	if _, err := s.Append(Run{ID: "a", Source: "serve", Labels: map[string]string{"v": "1"}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Append(Run{ID: "b", Source: "serve"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Append(Run{ID: "a", Source: "serve", Labels: map[string]string{"v": "2"}}); err != nil {
-		t.Fatal(err)
-	}
-	dropped, err := s.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dropped != 1 {
-		t.Fatalf("Compact dropped %d, want 1", dropped)
-	}
-	runs := s.Runs()
-	if len(runs) != 2 || runs[0].ID != "a" || runs[0].Labels["v"] != "2" || runs[1].ID != "b" {
-		t.Fatalf("after Compact: %+v", runs)
-	}
-	// The rewrite is durable.
-	s2 := openFixed(t, dir)
-	if s2.Len() != 2 {
-		t.Fatalf("reopened after Compact: Len = %d, want 2", s2.Len())
-	}
-}
-
 func TestTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
 	s := openFixed(t, dir)
@@ -183,10 +129,11 @@ func TestCorruptMiddleLineIsAnError(t *testing.T) {
 }
 
 func TestBenchReportRunAndGlob(t *testing.T) {
+	allocs := 22.0
 	rep := &BenchReport{
 		GOOS: "linux", GOARCH: "amd64",
 		Benchmarks: []BenchBenchmark{
-			{Pkg: "aimt", Name: "ServeStream", NsPerOp: 100, AllocsPerOp: 22,
+			{Pkg: "aimt", Name: "ServeStream", NsPerOp: 100, AllocsPerOp: &allocs,
 				Metrics: map[string]float64{"blocks/op": 5}, BlocksPerSec: 5e7},
 		},
 	}

@@ -24,13 +24,13 @@ import (
 // machine invariant. Committed decisions are recorded through
 // View.NoteLookahead (KindLookahead + aimt_sim_lookahead_total).
 type Lookahead struct {
-	inner   sim.Scheduler
-	horizon arch.Cycles
+	inner sim.Scheduler
 
-	// cooldown spaces speculations: after one commits (or ties), no
-	// new fork happens for this many cycles. It bounds speculation
-	// overhead to O(horizon / cooldown) per simulated cycle.
-	cooldown arch.Cycles
+	// horizon is how far each forked branch runs, and also the
+	// cooldown between speculations: after one commits (or ties), no
+	// new fork happens for horizon cycles, which bounds speculation
+	// overhead to a constant factor of the simulated cycles.
+	horizon arch.Cycles
 
 	eng      *sim.Engine
 	snap     *sim.Snapshot
@@ -67,21 +67,12 @@ func (s *Lookahead) notePick(v *sim.View, r sim.MBRef) {
 // NewLookahead returns a speculative lookahead scheduler over inner.
 // horizon is how far ahead each contested branch is simulated;
 // non-positive defaults to 4096 cycles. The cooldown between
-// speculations defaults to the horizon.
+// speculations is the horizon.
 func NewLookahead(inner sim.Scheduler, horizon arch.Cycles) *Lookahead {
 	if horizon <= 0 {
 		horizon = 4096
 	}
-	return &Lookahead{inner: inner, horizon: horizon, cooldown: horizon}
-}
-
-// SetCooldown overrides the minimum cycle spacing between
-// speculations. It returns the scheduler for chaining.
-func (s *Lookahead) SetCooldown(c arch.Cycles) *Lookahead {
-	if c > 0 {
-		s.cooldown = c
-	}
-	return s
+	return &Lookahead{inner: inner, horizon: horizon}
 }
 
 // Name implements sim.Scheduler.
@@ -135,7 +126,7 @@ func (s *Lookahead) PickMB(v *sim.View) (sim.MBRef, bool) {
 		return s.inner.PickMB(v)
 	}
 
-	s.nextSpec = v.Now() + s.cooldown
+	s.nextSpec = v.Now() + s.horizon
 	unmute := s.eng.Quiesce()
 	s.snap = s.eng.Snapshot(s.snap)
 	limit := v.Now() + s.horizon

@@ -183,6 +183,9 @@ const (
 	Bursty
 )
 
+// burstLen is the Bursty process's mean burst size in requests.
+const burstLen = 8
+
 func (p Process) String() string {
 	switch p {
 	case Poisson:
@@ -204,10 +207,6 @@ type StreamOptions struct {
 	// MeanGap is the mean inter-arrival time in cycles; zero means
 	// 20000 (20 us at 1 GHz). Offered load scales inversely with it.
 	MeanGap arch.Cycles
-
-	// BurstLen is the mean burst size for the Bursty process; zero
-	// means 8. Ignored under Poisson.
-	BurstLen int
 
 	// Seed makes the stream reproducible. Streams built from the same
 	// classes and seed contain the same request sequence at every
@@ -440,9 +439,6 @@ func NewStream(cfg arch.Config, classes []Class, opts StreamOptions) (*Stream, e
 	if opts.MeanGap <= 0 {
 		opts.MeanGap = 20000
 	}
-	if opts.BurstLen <= 0 {
-		opts.BurstLen = 8
-	}
 
 	compiled := make([]compiledClass, 0, len(classes))
 	var weights []float64
@@ -560,8 +556,8 @@ func NewStream(cfg arch.Config, classes []Class, opts StreamOptions) (*Stream, e
 		// back-to-back trains separated by long silences.
 		switch opts.Process {
 		case Bursty:
-			if rng.Float64() < 1/float64(opts.BurstLen) {
-				t += arch.Cycles(rng.ExpFloat64() * float64(opts.MeanGap) * float64(opts.BurstLen))
+			if rng.Float64() < 1/float64(burstLen) {
+				t += arch.Cycles(rng.ExpFloat64() * float64(opts.MeanGap) * float64(burstLen))
 			}
 		default:
 			t += arch.Cycles(rng.ExpFloat64() * float64(opts.MeanGap))

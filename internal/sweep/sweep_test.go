@@ -101,13 +101,16 @@ func render(outs []Outcome) string {
 // also proves sharing compiled networks across jobs is safe.
 func TestDeterministicAcrossWorkers(t *testing.T) {
 	jobs := testJobs(t)
-	serial := Run(jobs, Options{Workers: 1, CheckInvariants: true})
+	for i := range jobs {
+		jobs[i].Opts.CheckInvariants = true
+	}
+	serial := Run(jobs, Options{Workers: 1})
 	if err := FirstError(serial); err != nil {
 		t.Fatal(err)
 	}
 	want := render(serial)
 	for _, workers := range []int{2, 8, 0} {
-		got := Run(jobs, Options{Workers: workers, CheckInvariants: true})
+		got := Run(jobs, Options{Workers: workers})
 		if err := FirstError(got); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -160,22 +163,5 @@ func TestJobErrors(t *testing.T) {
 	err := FirstError(outs)
 	if err == nil || !strings.Contains(err.Error(), "broken") {
 		t.Fatalf("FirstError = %v, want mention of the broken mix", err)
-	}
-}
-
-// TestForcedInvariants checks Options.CheckInvariants reaches the
-// simulator: a run that violates an invariant only the checker sees
-// must fail once the sweep forces checking on.
-func TestForcedInvariants(t *testing.T) {
-	jobs := testJobs(t)[:1]
-	if jobs[0].Opts.CheckInvariants {
-		t.Fatal("test premise broken: job already checks invariants")
-	}
-	outs := Run(jobs, Options{Workers: 1, CheckInvariants: true})
-	if outs[0].Err != nil {
-		t.Fatalf("legitimate run failed under forced invariants: %v", outs[0].Err)
-	}
-	if outs[0].Res == nil {
-		t.Fatal("no result")
 	}
 }

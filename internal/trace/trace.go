@@ -6,9 +6,7 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 
 	"aimt/internal/arch"
@@ -40,40 +38,6 @@ func (r *Recorder) Event(engine, name string, net, layer, iter int, start, end a
 		Net: net, Layer: layer, Iter: iter,
 		Start: start, End: end,
 	})
-}
-
-// chromeEvent is the trace_event "complete" (ph=X) record.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat"`
-	Ph   string         `json:"ph"`
-	TS   int64          `json:"ts"`
-	Dur  int64          `json:"dur"`
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-var engineTID = map[string]int{"mem": 1, "pe": 2, "host": 3}
-
-// WriteChromeTrace emits the events as a Chrome trace_event JSON
-// array; timestamps are cycles interpreted as microseconds.
-func (r *Recorder) WriteChromeTrace(w io.Writer) error {
-	evs := make([]chromeEvent, 0, len(r.Events))
-	for _, e := range r.Events {
-		evs = append(evs, chromeEvent{
-			Name: e.Name,
-			Cat:  e.Engine,
-			Ph:   "X",
-			TS:   int64(e.Start),
-			Dur:  int64(e.End - e.Start),
-			PID:  1,
-			TID:  engineTID[e.Engine],
-			Args: map[string]any{"net": e.Net, "layer": e.Layer, "iter": e.Iter},
-		})
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(evs)
 }
 
 // Gantt renders the events as an ASCII timeline with one row per

@@ -32,27 +32,51 @@ func TestRecorderCollects(t *testing.T) {
 
 func TestChromeTraceRoundTrips(t *testing.T) {
 	var buf bytes.Buffer
-	if err := sample().WriteChromeTrace(&buf); err != nil {
+	if err := WriteChromeTracks(&buf, sample().EngineTracks(1, "mix")); err != nil {
 		t.Fatal(err)
 	}
 	var evs []map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &evs); err != nil {
 		t.Fatalf("invalid JSON: %v", err)
 	}
-	if len(evs) != 5 {
-		t.Fatalf("JSON events = %d", len(evs))
+	var slices []map[string]any
+	threads := map[string]float64{}
+	processes := 0
+	for _, e := range evs {
+		switch e["ph"] {
+		case "X":
+			slices = append(slices, e)
+		case "M":
+			name := e["args"].(map[string]any)["name"].(string)
+			switch e["name"] {
+			case "thread_name":
+				threads[name] = e["tid"].(float64)
+			case "process_name":
+				processes++
+				if name != "mix" {
+					t.Errorf("process name = %q, want mix", name)
+				}
+			}
+		}
 	}
-	first := evs[0]
-	if first["ph"] != "X" || first["name"] != "MB:a" || first["dur"] != float64(10) {
+	if len(slices) != 5 {
+		t.Fatalf("X events = %d, want 5", len(slices))
+	}
+	first := slices[0]
+	if first["name"] != "MB:a" || first["dur"] != float64(10) || first["pid"] != float64(1) {
 		t.Errorf("first event = %v", first)
 	}
-	// Engines map to distinct tids.
+	// Engines map to distinct tids, each named by one thread_name record.
 	tids := map[float64]bool{}
-	for _, e := range evs {
-		tids[e["tid"].(float64)] = true
+	for _, e := range slices {
+		tid := e["tid"].(float64)
+		tids[tid] = true
+		if threads[e["cat"].(string)] != tid {
+			t.Errorf("event %v: tid not named %q (thread names %v)", e["name"], e["cat"], threads)
+		}
 	}
-	if len(tids) != 3 {
-		t.Errorf("distinct tids = %d, want 3", len(tids))
+	if len(tids) != 3 || len(threads) != 3 || processes != 1 {
+		t.Errorf("distinct tids = %d, thread names = %d, process names = %d; want 3, 3, 1", len(tids), len(threads), processes)
 	}
 }
 

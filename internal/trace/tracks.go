@@ -5,6 +5,21 @@ import (
 	"io"
 )
 
+// chromeEvent is one trace_event record: an "X" complete slice or an
+// "M" metadata record naming a process or thread.
+type chromeEvent struct {
+	Name string         `json:"name"`
+	Cat  string         `json:"cat"`
+	Ph   string         `json:"ph"`
+	TS   int64          `json:"ts"`
+	Dur  int64          `json:"dur"`
+	PID  int            `json:"pid"`
+	TID  int            `json:"tid"`
+	Args map[string]any `json:"args,omitempty"`
+}
+
+var engineTID = map[string]int{"mem": 1, "pe": 2, "host": 3}
+
 // Track is one named timeline in a merged Chrome/Perfetto export: a
 // (process, thread) pair plus its occupancy events. Merged exports
 // overlay engine occupancy (one process per chip, one thread per
@@ -47,8 +62,8 @@ func (r *Recorder) EngineTracks(pid int, process string) []Track {
 
 // WriteChromeTracks emits the tracks as one Chrome trace_event JSON
 // array: "M" metadata records naming each process and thread, then
-// every event as a "X" complete slice. Output is byte-deterministic
-// for a given track list.
+// every event as a "X" complete slice (timestamps are cycles read as
+// microseconds). Output is byte-deterministic for a given track list.
 func WriteChromeTracks(w io.Writer, tracks []Track) error {
 	var evs []chromeEvent
 	named := map[int]bool{}
