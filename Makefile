@@ -8,7 +8,7 @@ GO ?= go
 # and testdata/bench_baseline.json). The EngineObs pair measures the
 # observability layer: Disabled is the instrumented-but-off path that
 # must stay free, Enabled the full emission cost.
-BENCH_PATTERN ?= BenchmarkSimulatorThroughput|BenchmarkServeStream|BenchmarkCandidateScan|BenchmarkEngineObs
+BENCH_PATTERN ?= BenchmarkSimulatorThroughput|BenchmarkServeStream|BenchmarkCandidateScan|BenchmarkEngineObs|BenchmarkServeOverload
 
 .PHONY: check build test race vet lint fuzz-short bench benchall benchcheck bench-compare profile golden
 

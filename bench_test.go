@@ -534,6 +534,44 @@ func BenchmarkServeStream(b *testing.B) {
 	b.ReportMetric(float64(blocks), "blocks/op")
 }
 
+// BenchmarkServeOverload measures a flash crowd: n requests arriving
+// one cycle apart on average, so the whole stream is in flight at once
+// and every memory-block pick faces all of it. The three sizes show
+// how FIFO's and AI-MT's run time grow with the in-flight population.
+func BenchmarkServeOverload(b *testing.B) {
+	cfg := PaperConfig()
+	scheds := []struct {
+		name string
+		new  func() Scheduler
+	}{
+		{"FIFO", NewFIFO},
+		{"AI-MT", func() Scheduler { return NewAIMT(cfg, AllMechanisms()) }},
+	}
+	for _, n := range []int{1000, 2000, 4000} {
+		stream, err := NewServeStream(cfg, DefaultServingClasses(), ServeStreamOptions{
+			Requests: n,
+			MeanGap:  1,
+			Seed:     7,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, s := range scheds {
+			b.Run(fmt.Sprintf("n=%d/%s", n, s.name), func(b *testing.B) {
+				var blocks int
+				for i := 0; i < b.N; i++ {
+					res, err := Run(cfg, stream.Nets, s.new(), RunOptions{Arrivals: stream.Arrivals})
+					if err != nil {
+						b.Fatal(err)
+					}
+					blocks = res.MBCount + res.CBCount
+				}
+				b.ReportMetric(float64(blocks), "blocks/op")
+			})
+		}
+	}
+}
+
 // BenchmarkServeStreamTraced measures the same serving run with
 // request tracing on: the collector taps every occupancy event, and
 // each run pays span building plus store aggregation — the full cost

@@ -110,7 +110,7 @@ var (
 	ErrBadPEDim     = errors.New("arch: PEDim must be positive")
 	ErrBadArrays    = errors.New("arch: NumArrays must be positive")
 	ErrBadFreq      = errors.New("arch: FreqHz must be positive")
-	ErrBadBandwidth = errors.New("arch: MemBandwidth must be positive")
+	ErrBadBandwidth = errors.New("arch: bandwidth must be at least one byte per cycle")
 	ErrBadSRAM      = errors.New("arch: WeightSRAM must hold at least one weight block")
 	ErrBadWeight    = errors.New("arch: WeightBytes must be positive")
 )
@@ -127,8 +127,13 @@ func (c *Config) Validate() error {
 	if c.FreqHz <= 0 {
 		return ErrBadFreq
 	}
-	if c.MemBandwidth <= 0 {
-		return ErrBadBandwidth
+	// Cycle counts divide by whole bytes per cycle, so a link slower
+	// than one byte per cycle cannot be modelled.
+	if c.MemBandwidth < c.FreqHz {
+		return fmt.Errorf("%w: MemBandwidth %d B/s at %d Hz", ErrBadBandwidth, c.MemBandwidth, c.FreqHz)
+	}
+	if c.HostBandwidth > 0 && c.HostBandwidth < c.FreqHz {
+		return fmt.Errorf("%w: HostBandwidth %d B/s at %d Hz (0 means no host link)", ErrBadBandwidth, c.HostBandwidth, c.FreqHz)
 	}
 	if c.WeightBytes <= 0 {
 		return ErrBadWeight

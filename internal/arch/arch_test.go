@@ -81,6 +81,8 @@ func TestValidateRejections(t *testing.T) {
 		{"negative arrays", func(c *Config) { c.NumArrays = -1 }, ErrBadArrays},
 		{"zero freq", func(c *Config) { c.FreqHz = 0 }, ErrBadFreq},
 		{"zero bandwidth", func(c *Config) { c.MemBandwidth = 0 }, ErrBadBandwidth},
+		{"bandwidth below one byte per cycle", func(c *Config) { c.MemBandwidth = c.FreqHz - 1 }, ErrBadBandwidth},
+		{"host link below one byte per cycle", func(c *Config) { c.HostBandwidth = 100_000_000 }, ErrBadBandwidth},
 		{"zero weight bytes", func(c *Config) { c.WeightBytes = 0 }, ErrBadWeight},
 		{"SRAM below one block", func(c *Config) { c.WeightSRAM = 100 }, ErrBadSRAM},
 	}
@@ -92,6 +94,20 @@ func TestValidateRejections(t *testing.T) {
 				t.Errorf("Validate() = %v, want %v", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestValidateBandwidthFloor accepts links of exactly one byte per
+// cycle and a host link of zero (none).
+func TestValidateBandwidthFloor(t *testing.T) {
+	cfg := PaperConfig()
+	cfg.MemBandwidth, cfg.HostBandwidth = cfg.FreqHz, cfg.FreqHz
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("1 B/cycle links: %v", err)
+	}
+	cfg.HostBandwidth = 0
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("no host link: %v", err)
 	}
 }
 

@@ -22,9 +22,11 @@
 package core
 
 import (
+	"math"
+	"sort"
+
 	"aimt/internal/arch"
 	"aimt/internal/sim"
-	"sort"
 )
 
 // AIMT is the AI-MT scheduler. Construct with New; the zero value is
@@ -116,10 +118,10 @@ type AIMT struct {
 	// first use; -1 until then.
 	evictActive int
 
-	// scratch buffers reused across picks.
+	// scratch buffers reused across picks; mbs holds the ranked MB
+	// candidates under a tenant order.
 	mbs []sim.MBRef
 	cbs []sim.CBRef
-	ord []sim.MBRef
 }
 
 // Mechanisms selects which AI-MT mechanisms are active.
@@ -357,13 +359,15 @@ func (a *AIMT) PickMB(v *sim.View) (sim.MBRef, bool) {
 	// the spot where a high-priority arrival can displace a
 	// low-priority executing block.
 	a.maybePreempt(v)
-	a.mbs = v.MBCandidates(a.mbs[:0])
-	if len(a.mbs) == 0 {
+	if !v.HasMBCandidates() {
 		a.reserving = false
 		a.stalled = false
 		return sim.MBRef{}, false
 	}
-	a.rotateMBs(v)
+	if a.ranked() {
+		a.mbs = v.MBCandidates(a.mbs[:0])
+		a.rankMBs(v)
+	}
 
 	target, reserve, ok := a.chooseTarget(v)
 	wasReserving := a.reserving
@@ -400,68 +404,66 @@ func (a *AIMT) PickMB(v *sim.View) (sim.MBRef, bool) {
 	return target, true
 }
 
-// rotateMBs reorders the candidate buffer so scanning starts at the
-// round-robin pointer, and pushes candidates of networks whose input
-// features have not yet arrived to the back: their compute blocks
-// cannot start, so their weights would only hog SRAM that runnable
-// networks need.
-func (a *AIMT) rotateMBs(v *sim.View) {
+// ranked reports whether a tenant order (priority classes, deadlines
+// or weights) replaces the uniform rotation.
+func (a *AIMT) ranked() bool {
+	return a.prios != nil || a.deadlines != nil || a.weights != nil
+}
+
+// rankMBs sorts the candidate buffer into the tenant order, pushing
+// candidates of networks whose input features have not yet arrived to
+// the back (see first).
+func (a *AIMT) rankMBs(v *sim.View) {
 	if len(a.mbs) < 2 {
 		return
 	}
-	if a.prios != nil {
-		sort.SliceStable(a.mbs, func(i, j int) bool {
-			hi, hj := !v.HostInputDone(a.mbs[i].Net), !v.HostInputDone(a.mbs[j].Net)
-			if hi != hj {
-				return hj // arrived inputs first
-			}
-			return a.prio(a.mbs[i].Net) > a.prio(a.mbs[j].Net)
-		})
-		return
-	}
-	if a.deadlines != nil {
-		sort.SliceStable(a.mbs, func(i, j int) bool {
-			hi, hj := !v.HostInputDone(a.mbs[i].Net), !v.HostInputDone(a.mbs[j].Net)
-			if hi != hj {
-				return hj // arrived inputs first
-			}
-			return a.deadline(a.mbs[i].Net) < a.deadline(a.mbs[j].Net)
-		})
-		return
-	}
-	if a.weights != nil {
+	var before func(i, j int) bool
+	switch {
+	case a.prios != nil:
+		before = func(i, j int) bool { return a.prio(a.mbs[i].Net) > a.prio(a.mbs[j].Net) }
+	case a.deadlines != nil:
+		before = func(i, j int) bool { return a.deadline(a.mbs[i].Net) < a.deadline(a.mbs[j].Net) }
+	default:
 		credits := a.accrueCredits(v)
-		sort.SliceStable(a.mbs, func(i, j int) bool {
-			hi, hj := !v.HostInputDone(a.mbs[i].Net), !v.HostInputDone(a.mbs[j].Net)
-			if hi != hj {
-				return hj // arrived inputs first
-			}
-			return credits[a.mbs[i].Net] > credits[a.mbs[j].Net]
-		})
-		return
+		before = func(i, j int) bool { return credits[a.mbs[i].Net] > credits[a.mbs[j].Net] }
 	}
-	rank := func(m sim.MBRef) int {
-		r := 0
-		if m.Net < a.rrMB {
-			r++
+	sort.SliceStable(a.mbs, func(i, j int) bool {
+		hi, hj := !v.HostInputDone(a.mbs[i].Net), !v.HostInputDone(a.mbs[j].Net)
+		if hi != hj {
+			return hj // arrived inputs first
 		}
-		if !v.HostInputDone(m.Net) {
-			r += 2
-		}
-		return r
-	}
-	a.ord = a.ord[:0]
-	for pri := 0; pri <= 3; pri++ {
+		return before(i, j)
+	})
+}
+
+// first returns the first unlocked memory block of class c with at
+// most maxBlocks blocks, in scan order: the ranked candidate buffer
+// under a tenant order, otherwise the round-robin rotation — nets
+// whose input features have arrived from the rotation pointer on,
+// then those before it, then the same two ranges of nets whose input
+// is still in flight. Those go last because their compute blocks
+// cannot start, so their weights would only hog SRAM that runnable
+// networks need.
+func (a *AIMT) first(v *sim.View, c sim.MBClass, maxBlocks int) (sim.MBRef, bool) {
+	if a.ranked() {
 		for _, m := range a.mbs {
-			if rank(m) == pri {
-				a.ord = append(a.ord, m)
+			if v.ClassOf(m)&c != 0 && v.MBBlocks(m) <= maxBlocks {
+				return m, true
 			}
 		}
+		return sim.MBRef{}, false
 	}
-	// Swap the rank-ordered scratch in as the candidate buffer; the old
-	// buffer becomes next pick's scratch, so steady state allocates
-	// nothing.
-	a.mbs, a.ord = a.ord, a.mbs
+	n := v.NumNets()
+	for _, h := range [...]sim.HostState{sim.HostLanded, sim.HostPending} {
+		f := sim.MBFilter{Class: c, Host: h, MaxBlocks: maxBlocks}
+		if m, ok := v.FirstMB(f, a.rrMB, n); ok {
+			return m, true
+		}
+		if m, ok := v.FirstMB(f, 0, a.rrMB); ok {
+			return m, true
+		}
+	}
+	return sim.MBRef{}, false
 }
 
 // chooseTarget picks the next memory block. The reserve result, valid
@@ -473,12 +475,10 @@ func (a *AIMT) chooseTarget(v *sim.View) (target sim.MBRef, reserve, ok bool) {
 	// low, prefer blocks whose compute outlasts their fetch so the PE
 	// complex does not run dry. Coverage is measured exactly from
 	// machine state (resident, unconsumed compute work).
+	free := v.FreeBlocks()
 	if a.merge && a.coverage(v) < a.mergeThreshold {
-		for _, m := range a.mbs {
-			l := v.Layer(m.Net, m.Layer)
-			if l.CBCycles > l.MBCycles && v.IsMBIssuable(m) {
-				return m, false, true
-			}
+		if m, ok := a.first(v, sim.ComputeBound, free); ok {
+			return m, false, true
 		}
 		// No coverage-building block exists (or fits). Fall through
 		// rather than idling the memory engine: an idle channel can
@@ -491,11 +491,8 @@ func (a *AIMT) chooseTarget(v *sim.View) (target sim.MBRef, reserve, ok bool) {
 		// would leak the very window it is waiting for — but only while
 		// the PE complex has resident work to chew through; idling the
 		// channel with no compute runway just moves the bottleneck.
-		for _, m := range a.mbs {
-			if !v.Layer(m.Net, m.Layer).MemoryIntensive() {
-				continue
-			}
-			if v.IsMBIssuable(m) {
+		if m, ok := a.first(v, sim.MemoryBound, math.MaxInt); ok {
+			if v.MBBlocks(m) <= free {
 				return m, false, true
 			}
 			if v.AvailableCBCycles() >= a.mergeThreshold {
@@ -503,13 +500,10 @@ func (a *AIMT) chooseTarget(v *sim.View) (target sim.MBRef, reserve, ok bool) {
 				// the caller can attribute the reservation.
 				return m, true, false
 			}
-			break
 		}
 	}
-	for _, m := range a.mbs {
-		if v.IsMBIssuable(m) {
-			return m, false, true
-		}
+	if m, ok := a.first(v, sim.AnyClass, free); ok {
+		return m, false, true
 	}
 	return sim.MBRef{}, false, false
 }

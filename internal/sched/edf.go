@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"aimt/internal/arch"
 	"aimt/internal/sim"
@@ -28,8 +30,17 @@ type EDF struct {
 	// cycles, indexed like the net slice handed to sim.Run.
 	deadlines []arch.Cycles
 
-	// scratch buffers reused across picks.
-	mbs []sim.MBRef
+	// live lists by (deadline, net) the nets with a deadline below
+	// covered — the top of the active window so far — that no pick has
+	// found finished yet. Nets join as the window reaches them and leave
+	// when a pick walks past them finished, so the list follows the
+	// in-flight population. Both are decision state
+	// (StatefulScheduler): after a restore, a dropped net may be
+	// unfinished again.
+	live    []int32
+	covered int
+
+	// cbs is a scratch buffer reused across picks.
 	cbs []sim.CBRef
 }
 
@@ -54,18 +65,57 @@ func (e *EDF) deadline(net int) arch.Cycles {
 // earliest-deadline network, SRAM capacity permitting. Ties resolve to
 // the lowest (net, layer), the candidate order.
 func (e *EDF) PickMB(v *sim.View) (sim.MBRef, bool) {
-	e.mbs = v.MBCandidates(e.mbs[:0])
-	best, found := sim.MBRef{}, false
-	var bestDL arch.Cycles
-	for _, m := range e.mbs {
-		if !v.IsMBIssuable(m) {
+	f := fits(v)
+	first, ok := v.FirstMB(f, 0, v.NumNets())
+	if !ok {
+		return sim.MBRef{}, false
+	}
+	// first is the lowest net with an issuable block, so no net after it
+	// in (deadline, net) order can win: walk the live list only up to its
+	// deadline, dropping the finished nets met on the way.
+	e.cover(v)
+	dl := e.deadline(first.Net)
+	pick, kept, i := first, 0, 0
+	for ; i < len(e.live); i++ {
+		net := e.live[i]
+		if e.deadlines[net] >= dl {
+			break
+		}
+		if v.NetFinished(int(net)) {
 			continue
 		}
-		if dl := e.deadline(m.Net); !found || dl < bestDL {
-			best, bestDL, found = m, dl, true
+		e.live[kept] = net
+		kept++
+		if m, ok := v.FirstMB(f, int(net), int(net)+1); ok {
+			pick = m
+			i++
+			break
 		}
 	}
-	return best, found
+	if kept < i {
+		e.live = append(e.live[:kept], e.live[i:]...)
+	}
+	return pick, true
+}
+
+// cover adds the nets below the top of the active window to live.
+func (e *EDF) cover(v *sim.View) {
+	act := v.ActiveNets()
+	top := min(act[len(act)-1]+1, len(e.deadlines))
+	if e.covered >= top {
+		return
+	}
+	for ; e.covered < top; e.covered++ {
+		if e.deadlines[e.covered] > 0 {
+			e.live = append(e.live, int32(e.covered))
+		}
+	}
+	slices.SortFunc(e.live, func(a, b int32) int {
+		if c := cmp.Compare(e.deadlines[a], e.deadlines[b]); c != 0 {
+			return c
+		}
+		return int(a - b)
+	})
 }
 
 // PickCB implements sim.Scheduler: the ready compute block of the

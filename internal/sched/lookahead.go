@@ -43,8 +43,6 @@ type Lookahead struct {
 	speculating bool
 	forcing     bool
 	forced      sim.MBRef
-
-	mbs []sim.MBRef
 }
 
 // mbForcer is implemented by schedulers whose compute-block execution
@@ -104,24 +102,10 @@ func (s *Lookahead) PickMB(v *sim.View) (sim.MBRef, bool) {
 	// right now: fetching the capacity-critical block claims SRAM for
 	// a long window, fetching the compute-heavy block builds PE
 	// runway. The static heuristics disagree here; simulate instead.
-	s.mbs = v.MBCandidates(s.mbs[:0])
-	var memC, cmpC sim.MBRef
-	var haveMem, haveCmp bool
-	for _, m := range s.mbs {
-		if !v.IsMBIssuable(m) {
-			continue
-		}
-		if v.Layer(m.Net, m.Layer).MemoryIntensive() {
-			if !haveMem {
-				memC, haveMem = m, true
-			}
-		} else if !haveCmp {
-			cmpC, haveCmp = m, true
-		}
-		if haveMem && haveCmp {
-			break
-		}
-	}
+	f := sim.MBFilter{Class: sim.MemoryBound, Host: sim.AnyHost, MaxBlocks: v.FreeBlocks()}
+	memC, haveMem := v.FirstMB(f, 0, v.NumNets())
+	f.Class = sim.ComputeBound | sim.Balanced
+	cmpC, haveCmp := v.FirstMB(f, 0, v.NumNets())
 	if !haveMem || !haveCmp {
 		return s.inner.PickMB(v)
 	}

@@ -107,16 +107,14 @@ func (p *PREMA) PickMB(v *sim.View) (sim.MBRef, bool) {
 	if p.needsElection(v) {
 		p.elect(v)
 	}
-	if p.active < 0 {
+	if p.active < 0 || !p.depthOK(v) {
 		return sim.MBRef{}, false
 	}
-	for _, m := range p.candidates(v) {
-		if m.Net == p.active {
-			p.enqueue(m)
-			return m, true
-		}
+	m, ok := v.FirstMB(fits(v), p.active, p.active+1)
+	if ok {
+		p.enqueue(m)
 	}
-	return sim.MBRef{}, false
+	return m, ok
 }
 
 // OnCBDone re-elects at layer boundaries — the preemption granularity

@@ -53,10 +53,12 @@ func (b *base) PickCB(v *sim.View) (sim.CBRef, bool) {
 	return b.q[0], true
 }
 
-// OnCBStart pops the issue-order queue.
+// OnCBStart pops the issue-order queue. It shifts in place rather than
+// reslicing the front: a walking window would make every later append
+// grow a new backing array.
 func (b *base) OnCBStart(v *sim.View, r sim.CBRef) {
 	if len(b.q) > 0 && b.q[0] == r {
-		b.q = b.q[1:]
+		b.q = b.q[:copy(b.q, b.q[1:])]
 	}
 }
 
@@ -67,7 +69,14 @@ func (b *base) OnCBStart(v *sim.View, r sim.CBRef) {
 // the forced block's weights would sit in SRAM forever.
 func (b *base) ForceMB(v *sim.View, r sim.MBRef) { b.enqueue(r) }
 
-// candidates returns the issuable memory blocks under the depth bound.
+// fits admits every memory block that fits in the free SRAM: the
+// issuable ones.
+func fits(v *sim.View) sim.MBFilter {
+	return sim.MBFilter{Class: sim.AnyClass, Host: sim.AnyHost, MaxBlocks: v.FreeBlocks()}
+}
+
+// candidates returns the issuable memory blocks under the depth bound,
+// for the policies that weigh all of them.
 func (b *base) candidates(v *sim.View) []sim.MBRef {
 	b.mbs = b.mbs[:0]
 	if !b.depthOK(v) {
@@ -108,14 +117,17 @@ func (f *FIFO) Name() string {
 	return "FIFO"
 }
 
-// PickMB implements sim.Scheduler: the lowest (net, layer) candidate.
+// PickMB implements sim.Scheduler: the lowest (net, layer) issuable
+// block under the depth bound.
 func (f *FIFO) PickMB(v *sim.View) (sim.MBRef, bool) {
-	c := f.candidates(v)
-	if len(c) == 0 {
+	if !f.depthOK(v) {
 		return sim.MBRef{}, false
 	}
-	f.enqueue(c[0])
-	return c[0], true
+	m, ok := v.FirstMB(fits(v), 0, v.NumNets())
+	if ok {
+		f.enqueue(m)
+	}
+	return m, ok
 }
 
 // RR rotates across networks per sub-layer (Fig 6b), providing

@@ -7,11 +7,10 @@ import (
 
 // This file implements sim.StatefulScheduler for every baseline whose
 // decision state must travel with engine snapshots: the issue-order
-// compute queue (base), the round-robin rotation pointer (RR) and
-// PREMA's token economy. EDF is a pure function of the View and needs
-// nothing. The state values are reused across SaveState calls, so a
-// speculative scheduler snapshotting at steady state allocates
-// nothing.
+// compute queue (base), the round-robin rotation pointer (RR),
+// PREMA's token economy and EDF's live deadline list. The state values
+// are reused across SaveState calls, so a speculative scheduler
+// snapshotting at steady state allocates nothing.
 
 // baseState captures base's issue-order compute queue.
 type baseState struct {
@@ -92,4 +91,28 @@ func (p *PREMA) RestoreState(stAny any) {
 		p.tokens = nil // lazily allocated on first accrue; keep it so
 	}
 	p.lastUpdate = st.lastUpdate
+}
+
+// edfState captures EDF's live deadline list and its coverage.
+type edfState struct {
+	live    []int32
+	covered int
+}
+
+// SaveState implements sim.StatefulScheduler.
+func (e *EDF) SaveState(prev any) any {
+	st, _ := prev.(*edfState)
+	if st == nil {
+		st = &edfState{}
+	}
+	st.live = append(st.live[:0], e.live...)
+	st.covered = e.covered
+	return st
+}
+
+// RestoreState implements sim.StatefulScheduler.
+func (e *EDF) RestoreState(stAny any) {
+	st := stAny.(*edfState)
+	e.live = append(e.live[:0], st.live...)
+	e.covered = st.covered
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -204,6 +205,12 @@ type Engine struct {
 	mbScratch []MBRef
 	cbScratch []CBRef
 
+	// seen maps each distinct compiled network of the run to its
+	// totals while init summarizes the workload, and sizes holds the
+	// workload's distinct MBBlocks values (see summarize).
+	seen  map[*compiler.CompiledNetwork]compiler.Stats
+	sizes []int
+
 	// runID increments at every init; snapshots record it so a restore
 	// into a re-initialized (or pooled-and-reused) engine is rejected.
 	runID uint64
@@ -271,18 +278,9 @@ func (e *Engine) init(cfg arch.Config, nets []*compiler.CompiledNetwork, sch Sch
 	if len(nets) == 0 {
 		return errors.New("sim: no networks")
 	}
-	totalLayers := 0
-	for _, cn := range nets {
-		if err := cn.Validate(); err != nil {
-			return err
-		}
-		for _, l := range cn.Layers {
-			if l.MBBlocks > cfg.WeightBlocks() {
-				return fmt.Errorf("sim: %s/%s needs %d SRAM blocks but the weight buffer holds %d",
-					cn.Name, l.Name, l.MBBlocks, cfg.WeightBlocks())
-			}
-		}
-		totalLayers += len(cn.Layers)
+	totals, totalLayers, err := e.summarize(cfg, nets)
+	if err != nil {
+		return err
 	}
 	if opts.MaxCycles <= 0 {
 		opts.MaxCycles = 200_000_000_000
@@ -290,7 +288,7 @@ func (e *Engine) init(cfg arch.Config, nets []*compiler.CompiledNetwork, sch Sch
 	e.runID++
 
 	// Reset the view in place, keeping its recycled slices.
-	e.view = View{cfg: cfg, buf: e.view.buf, nets: e.netPtrs[:0], active: e.view.active[:0]}
+	e.view = View{cfg: cfg, buf: e.view.buf, nets: e.netPtrs[:0], active: e.view.active[:0], mbIdx: e.view.mbIdx}
 	v := &e.view
 	e.v = v
 	if v.buf == nil {
@@ -300,6 +298,7 @@ func (e *Engine) init(cfg arch.Config, nets []*compiler.CompiledNetwork, sch Sch
 	}
 
 	e.arena.reset(totalLayers)
+	v.mbIdx.reset(len(nets), e.sizes)
 	if cap(e.states) < len(nets) {
 		e.states = make([]netState, len(nets))
 	}
@@ -310,6 +309,8 @@ func (e *Engine) init(cfg arch.Config, nets []*compiler.CompiledNetwork, sch Sch
 		v.nets = append(v.nets, &e.states[i])
 	}
 	e.netPtrs = v.nets
+	v.mbRemaining = totals.SubLayers
+	v.cbTotal, v.mbTotal = totals.CBCycles, totals.MBCycles
 
 	e.sch = sch
 	e.opts = opts
@@ -368,15 +369,6 @@ func (e *Engine) init(cfg arch.Config, nets []*compiler.CompiledNetwork, sch Sch
 		v.nets[i].arrived = false // invisible until the predecessor finishes
 	}
 
-	for _, cn := range nets {
-		for _, l := range cn.Layers {
-			v.mbRemaining += l.Iters
-		}
-		st := cn.Stats()
-		v.cbTotal += st.CBCycles
-		v.mbTotal += st.MBCycles
-	}
-
 	if ea, ok := sch.(EngineAware); ok {
 		ea.AttachEngine(e)
 	}
@@ -389,7 +381,7 @@ func (e *Engine) init(cfg arch.Config, nets []*compiler.CompiledNetwork, sch Sch
 			continue
 		}
 		if v.nets[i].arrived {
-			v.activeAdd(i)
+			v.activate(i)
 			if err := e.arrive(i); err != nil {
 				return err
 			}
@@ -403,6 +395,43 @@ func (e *Engine) init(cfg arch.Config, nets []*compiler.CompiledNetwork, sch Sch
 	return nil
 }
 
+// summarize validates every distinct compiled network of the workload
+// once — a serving stream repeats a handful of networks thousands of
+// times — and returns the workload's totals and layer count, leaving
+// its distinct block sizes in e.sizes.
+func (e *Engine) summarize(cfg arch.Config, nets []*compiler.CompiledNetwork) (totals compiler.Stats, layers int, err error) {
+	if e.seen == nil {
+		e.seen = make(map[*compiler.CompiledNetwork]compiler.Stats)
+	}
+	clear(e.seen)
+	e.sizes = e.sizes[:0]
+	for _, cn := range nets {
+		st, ok := e.seen[cn]
+		if !ok {
+			if err := cn.Validate(); err != nil {
+				return totals, 0, err
+			}
+			for li := range cn.Layers {
+				l := &cn.Layers[li]
+				if l.MBBlocks > cfg.WeightBlocks() {
+					return totals, 0, fmt.Errorf("sim: %s/%s needs %d SRAM blocks but the weight buffer holds %d",
+						cn.Name, l.Name, l.MBBlocks, cfg.WeightBlocks())
+				}
+				e.sizes = append(e.sizes, l.MBBlocks)
+			}
+			st = cn.Stats()
+			e.seen[cn] = st
+		}
+		totals.SubLayers += st.SubLayers
+		totals.CBCycles += st.CBCycles
+		totals.MBCycles += st.MBCycles
+		layers += len(cn.Layers)
+	}
+	slices.Sort(e.sizes)
+	e.sizes = slices.Compact(e.sizes)
+	return totals, layers, nil
+}
+
 // release drops every reference a pooled engine would otherwise pin
 // (compiled networks, the scheduler, observability sinks) while
 // keeping the backing arrays for reuse.
@@ -410,6 +439,7 @@ func (e *Engine) release() {
 	for i := range e.states {
 		e.states[i].cn = nil
 	}
+	clear(e.seen)
 	for i := range e.res.NetNames {
 		e.res.NetNames[i] = ""
 	}
@@ -596,7 +626,7 @@ func (e *Engine) loop(limit arch.Cycles) (done bool, err error) {
 			}
 			e.nextArrival++
 			v.nets[i].arrived = true
-			v.activeAdd(i)
+			v.activate(i)
 			if err := e.arrive(i); err != nil {
 				return false, err
 			}
@@ -672,7 +702,7 @@ func (e *Engine) issueMB(r MBRef) error {
 		return fmt.Errorf("sim: scheduler %s returned non-issuable MB %+v", e.sch.Name(), r)
 	}
 	s := v.nets[r.Net]
-	l := s.cn.Layers[r.Layer]
+	l := &s.cn.Layers[r.Layer]
 	if err := v.buf.Allocate(&s.chains[r.Layer], l.MBBlocks); err != nil {
 		return fmt.Errorf("sim: issue MB %+v: %w", r, err)
 	}
@@ -682,6 +712,7 @@ func (e *Engine) issueMB(r MBRef) error {
 	s.mbIssued[r.Layer]++
 	if s.mbIssued[r.Layer] == l.Iters {
 		s.mbFront = frontRemove(s.mbFront, r.Layer)
+		v.mbIdx.refile(r.Net, s)
 	}
 	v.outstanding++
 	v.mbRemaining--
@@ -711,7 +742,7 @@ func (e *Engine) completeMB() error {
 	v := e.v
 	r := v.curMB
 	s := v.nets[r.Net]
-	l := s.cn.Layers[r.Layer]
+	l := &s.cn.Layers[r.Layer]
 	start := v.memEnd - l.MBCycles
 	v.memBusy = false
 	e.res.MemBusy += l.MBCycles
@@ -740,11 +771,16 @@ func (e *Engine) completeMB() error {
 		v.availCB += l.CBCycles
 	}
 	if s.mbDone[r.Layer] == l.Iters {
+		unlocked := false
 		for _, p := range l.Posts {
 			s.mbIndeg[p]--
 			if s.mbIndeg[p] == 0 && s.mbIssued[p] < s.cn.Layers[p].Iters {
 				s.mbFront = frontAdd(s.mbFront, p)
+				unlocked = true
 			}
+		}
+		if unlocked {
+			v.mbIdx.refile(r.Net, s)
 		}
 	}
 	if e.chk != nil {
@@ -787,7 +823,7 @@ func (e *Engine) completeCB() error {
 	v := e.v
 	r := v.curCB
 	s := v.nets[r.Net]
-	l := s.cn.Layers[r.Layer]
+	l := &s.cn.Layers[r.Layer]
 	v.peBusy = false
 	e.res.PEBusy += v.curCBWork
 	e.res.CBCount++
@@ -857,7 +893,7 @@ func (e *Engine) applySplit() error {
 	}
 	r := v.curCB
 	s := v.nets[r.Net]
-	l := s.cn.Layers[r.Layer]
+	l := &s.cn.Layers[r.Layer]
 	executed := v.now - v.cbStart
 	remaining := v.peEnd - v.now
 
@@ -934,8 +970,9 @@ func (e *Engine) completeHost() error {
 func (e *Engine) finishHostIn(net int) error {
 	s := e.v.nets[net]
 	s.hostInDone = true
-	for li, l := range s.cn.Layers {
-		if len(l.Deps) == 0 {
+	e.v.mbIdx.refile(net, s)
+	for li := range s.cn.Layers {
+		if len(s.cn.Layers[li].Deps) == 0 {
 			s.cbIndeg[li]--
 			if s.cbIndeg[li] == 0 {
 				e.v.unlockCB(s, li)
@@ -953,7 +990,7 @@ func (e *Engine) finishNet(net int) error {
 	s := e.v.nets[net]
 	s.finished = true
 	s.finishAt = e.v.now
-	e.v.activeRemove(net)
+	e.v.deactivate(net)
 	e.res.NetFinish[net] = e.v.now
 	if e.v.om != nil {
 		e.v.om.finish(net, len(e.v.active))
@@ -983,7 +1020,7 @@ func (e *Engine) chainArrive(i int) error {
 	s.arrival = v.now
 	s.arrived = true
 	e.res.NetArrive[i] = v.now
-	v.activeAdd(i)
+	v.activate(i)
 	return e.arrive(i)
 }
 

@@ -69,7 +69,7 @@ func (v *View) unlockCB(s *netState, li int) {
 		return
 	}
 	s.cbFront = frontAdd(s.cbFront, li)
-	l := s.cn.Layers[li]
+	l := &s.cn.Layers[li]
 	v.availCB += arch.Cycles(n) * l.CBCycles
 	if s.remnant[li] > 0 {
 		v.availCB -= l.CBCycles - (s.remnant[li] + v.cfg.FillLatency)
@@ -128,10 +128,11 @@ func (v *View) scanAvailableCBCycles() arch.Cycles {
 	var sum arch.Cycles
 	for _, ni := range v.active {
 		s := v.nets[ni]
-		for li, l := range s.cn.Layers {
+		for li := range s.cn.Layers {
 			if s.cbIndeg[li] != 0 {
 				continue
 			}
+			l := &s.cn.Layers[li]
 			n := s.mbDone[li] - s.cbDone[li]
 			if n <= 0 {
 				continue

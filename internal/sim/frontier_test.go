@@ -44,6 +44,47 @@ func (p *probe) check(v *View) {
 	if g, w := v.AvailableCBCycles(), v.scanAvailableCBCycles(); g != w {
 		p.t.Fatalf("AvailableCBCycles %d != scan %d", g, w)
 	}
+	// The issuable-MB index must answer like a filtered candidate scan
+	// for any filter and net range.
+	for i := 0; i < 4; i++ {
+		f := MBFilter{
+			Class:     MBClass(1 + p.rng.Intn(int(AnyClass))),
+			Host:      HostState(1 + p.rng.Intn(int(AnyHost))),
+			MaxBlocks: p.rng.Intn(v.TotalBlocks() + 2),
+		}
+		lo := p.rng.Intn(v.NumNets() + 1)
+		hi := lo + p.rng.Intn(v.NumNets()+1-lo)
+		if i == 0 {
+			lo, hi = 0, v.NumNets()
+		}
+		got, gok := v.FirstMB(f, lo, hi)
+		want, wok := scanFirstMB(v, f, lo, hi)
+		if got != want || gok != wok {
+			p.t.Fatalf("FirstMB(%+v, %d, %d) = %v %v, scan finds %v %v", f, lo, hi, got, gok, want, wok)
+		}
+	}
+	if got, want := v.HasMBCandidates(), len(v.scanMBCandidates(nil)) > 0; got != want {
+		p.t.Fatalf("HasMBCandidates = %v, scan says %v", got, want)
+	}
+}
+
+// scanFirstMB is the reference for View.FirstMB: the first full-scan
+// MB candidate in range that passes the filter.
+func scanFirstMB(v *View, f MBFilter, lo, hi int) (MBRef, bool) {
+	for _, m := range v.scanMBCandidates(nil) {
+		if m.Net < lo || m.Net >= hi {
+			continue
+		}
+		host := HostPending
+		if v.HostInputDone(m.Net) {
+			host = HostLanded
+		}
+		l := v.Layer(m.Net, m.Layer)
+		if f.Host&host != 0 && f.Class&classOf(l) != 0 && l.MBBlocks <= f.MaxBlocks {
+			return m, true
+		}
+	}
+	return MBRef{}, false
 }
 
 func (p *probe) PickMB(v *View) (MBRef, bool) {
@@ -156,6 +197,42 @@ func TestFrontierMatchesScanRandom(t *testing.T) {
 	}
 }
 
+// TestFirstMBManySizes runs the probing scheduler over layers of up to
+// 16 distinct block sizes — more than the index has size buckets — so
+// queries must verify the oversized members of the last bucket.
+func TestFirstMBManySizes(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.WeightSRAM = 32 * 16 // 32 blocks
+	cfg.HostBandwidth = 2_000_000_000
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var nets []*compiler.CompiledNetwork
+		var arrivals []arch.Cycles
+		for n := 0; n < 3+rng.Intn(4); n++ {
+			var specs []layerSpec
+			for l := 0; l < 2+rng.Intn(4); l++ {
+				specs = append(specs, layerSpec{
+					mb:     arch.Cycles(1 + rng.Intn(40)),
+					cb:     arch.Cycles(1 + rng.Intn(40)),
+					iters:  1 + rng.Intn(3),
+					blocks: 1 + rng.Intn(16),
+				})
+			}
+			cn := chainNet("n", cfg, specs...)
+			cn.HostInBytes = arch.Bytes(rng.Intn(40))
+			nets = append(nets, cn)
+			arrivals = append(arrivals, arch.Cycles(rng.Intn(200)))
+		}
+		if _, err := Run(cfg, nets, &probe{t: t, rng: rng},
+			Options{CheckInvariants: true, Arrivals: arrivals}); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
 // frontierSaboteur corrupts the maintained frontier state mid-run; the
 // checker's frontier-vs-scan comparison must catch it at the next
 // event.
@@ -209,6 +286,28 @@ func TestInvariantCatchesFrontierCorruption(t *testing.T) {
 			s.cbFront = frontAdd(s.cbFront, last)
 		}},
 		{"drifted-avl-counter", func(v *View) { v.availCB += 17 }},
+		{"stale-index-entry", func(v *View) {
+			// Leave layer 0 filed after its last MB issued, as if issueMB
+			// had skipped the refile.
+			s := v.nets[0]
+			if s.mbIssued[0] < s.cn.Layers[0].Iters {
+				return
+			}
+			key := int(v.mbIdx.key(&s.cn.Layers[0]))
+			if s.hostInDone {
+				key += v.mbIdx.stride
+			}
+			want := s.mbSets | 1<<key
+			v.mbIdx.move(0, s, want)
+		}},
+		{"host-landing-not-refiled", func(v *View) {
+			// Keep the net filed as host-pending after its input landed,
+			// as if finishHostIn had skipped the refile.
+			s := v.nets[0]
+			if s.hostInDone && s.mbSets != 0 {
+				v.mbIdx.move(0, s, s.mbSets>>v.mbIdx.stride)
+			}
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cn := chainNet("n", cfg,

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"aimt/internal/arch"
 	"aimt/internal/sram"
@@ -33,7 +34,9 @@ var ErrInvariant = errors.New("sim: machine invariant violated")
 //  6. the incrementally maintained candidate frontiers agree with a
 //     brute-force rescan: MBCandidates, ReadyCBs, SelectableCBs and
 //     AvailableCBCycles equal the reference full-scan results after
-//     every state transition (see frontier.go);
+//     every state transition (see frontier.go), and the issuable-MB
+//     index files exactly the rescanned MB candidates, each net under
+//     its shadow host state (see index.go);
 //  7. halts and resumes pair up: a compute block that starts with less
 //     than its full work must be the resume of exactly the outstanding
 //     halted remainder (plus the refill penalty), and each halt is
@@ -226,7 +229,7 @@ func (c *checker) cbStart(r CBRef, work arch.Cycles) error {
 	if r.Iter >= sh.mbDone {
 		return c.violate("CB %+v started before its memory block completed (%d fetched)", r, sh.mbDone)
 	}
-	l := c.v.nets[r.Net].cn.Layers[r.Layer]
+	l := &c.v.nets[r.Net].cn.Layers[r.Layer]
 	if len(l.Deps) == 0 && !ns.hostInDone {
 		return c.violate("CB %+v started before the network's host input arrived", r)
 	}
@@ -349,6 +352,55 @@ func (c *checker) frontiers() error {
 	}
 	if got, want := v.AvailableCBCycles(), v.scanAvailableCBCycles(); got != want {
 		return c.violate("incremental AVL_CB %d diverged from full scan %d", got, want)
+	}
+	return c.index()
+}
+
+// index checks the issuable-MB index against the rescanned MB
+// candidates (c.mbWant, in (net, layer) order): every net must be
+// filed in exactly the sets its candidate layers and its shadow host
+// state imply, and no set may hold anything else.
+func (c *checker) index() error {
+	v := c.v
+	x := &v.mbIdx
+	filed := 0
+	for i := 0; i < len(c.mbWant); {
+		net := c.mbWant[i].Net
+		off := 0
+		if c.nets[net].hostInDone {
+			off = x.stride
+		}
+		var want uint64
+		for ; i < len(c.mbWant) && c.mbWant[i].Net == net; i++ {
+			want |= 1 << (off + int(x.key(&v.nets[net].cn.Layers[c.mbWant[i].Layer])))
+		}
+		if got := v.nets[net].mbSets; got != want {
+			return c.violate("net %d filed under index sets %#x, frontier and host state imply %#x", net, got, want)
+		}
+		for si := range x.sets {
+			if x.sets[si].has(net) != (want>>si&1 == 1) {
+				return c.violate("index set %d membership of net %d disagrees with its sets %#x", si, net, want)
+			}
+		}
+		filed += bits.OnesCount64(want)
+	}
+	members := 0
+	for si := range x.sets {
+		set := &x.sets[si]
+		n := 0
+		for w, word := range set.words {
+			n += bits.OnesCount64(word)
+			if (set.sum[w>>6]>>(w&63)&1 == 1) != (word != 0) {
+				return c.violate("index set %d summary bit for word %d is stale", si, w)
+			}
+		}
+		if n != set.n || (x.nonEmpty>>si&1 == 1) != (n > 0) {
+			return c.violate("index set %d holds %d nets but counts %d (non-empty mask %#x)", si, n, set.n, x.nonEmpty)
+		}
+		members += n
+	}
+	if members != filed {
+		return c.violate("index holds %d entries, the frontier rescan implies %d", members, filed)
 	}
 	return nil
 }

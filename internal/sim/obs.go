@@ -157,7 +157,7 @@ func (v *View) NoteEviction(r MBRef) {
 	if v.led == nil {
 		return
 	}
-	l := v.nets[r.Net].cn.Layers[r.Layer]
+	l := &v.nets[r.Net].cn.Layers[r.Layer]
 	v.note(obs.KindEarlyEvict, r.Net, r.Layer, r.Iter, v.stallCause(l.MBBlocks), l.MBCycles)
 }
 

@@ -106,6 +106,10 @@ type netState struct {
 	mbFront []int
 	cbFront []int
 
+	// mbSets is the set of issuable-MB index sets the net is filed in
+	// (see index.go).
+	mbSets uint64
+
 	chains []sram.Chain // resident weight blocks per layer
 
 	arrival    arch.Cycles
@@ -169,23 +173,25 @@ func carveInts(slab []int, off *int, n int) []int {
 // zeroed by reset) and seeds its dependency counts and MB frontier.
 func initNetState(s *netState, cn *compiler.CompiledNetwork, a *stateArena, intOff, layerOff *int) {
 	n := len(cn.Layers)
-	*s = netState{
-		cn:         cn,
-		mbIndeg:    carveInts(a.ints, intOff, n),
-		cbIndeg:    carveInts(a.ints, intOff, n),
-		mbIssued:   carveInts(a.ints, intOff, n),
-		mbDone:     carveInts(a.ints, intOff, n),
-		cbSelected: carveInts(a.ints, intOff, n),
-		cbDone:     carveInts(a.ints, intOff, n),
-		mbFront:    carveInts(a.ints, intOff, n)[:0],
-		cbFront:    carveInts(a.ints, intOff, n)[:0],
-		remnant:    a.cycles[*layerOff : *layerOff+n : *layerOff+n],
-		chains:     a.chains[*layerOff : *layerOff+n : *layerOff+n],
-		layersLeft: n,
-		arrived:    true, // the engine clears this for late arrivals
-	}
+	// Clear, then fill field by field: assigning a composite literal
+	// would build and copy the whole struct for every net.
+	*s = netState{}
+	s.cn = cn
+	s.mbIndeg = carveInts(a.ints, intOff, n)
+	s.cbIndeg = carveInts(a.ints, intOff, n)
+	s.mbIssued = carveInts(a.ints, intOff, n)
+	s.mbDone = carveInts(a.ints, intOff, n)
+	s.cbSelected = carveInts(a.ints, intOff, n)
+	s.cbDone = carveInts(a.ints, intOff, n)
+	s.mbFront = carveInts(a.ints, intOff, n)[:0]
+	s.cbFront = carveInts(a.ints, intOff, n)[:0]
+	s.remnant = a.cycles[*layerOff : *layerOff+n : *layerOff+n]
+	s.chains = a.chains[*layerOff : *layerOff+n : *layerOff+n]
+	s.layersLeft = n
+	s.arrived = true // the engine clears this for late arrivals
 	*layerOff += n
-	for i, l := range cn.Layers {
+	for i := range cn.Layers {
+		l := &cn.Layers[i]
 		s.mbIndeg[i] = len(l.Deps)
 		s.cbIndeg[i] = len(l.Deps)
 		if len(l.Deps) == 0 {
@@ -227,6 +233,10 @@ type View struct {
 	// stream length; the active list keeps each scan proportional to
 	// the in-flight population.
 	active []int
+
+	// mbIdx files the active nets by their MB frontier keys, so MB
+	// picks need not copy the frontier (see index.go).
+	mbIdx mbIndex
 
 	// outstanding is the incremental Σ(mbIssued - cbDone) over all
 	// nets; mbRemaining counts memory blocks not yet issued anywhere.
@@ -306,12 +316,27 @@ func (v *View) activeRemove(net int) {
 	}
 }
 
+// activate makes an arrived net visible to the scheduler: it joins the
+// active list and the issuable-MB index.
+func (v *View) activate(net int) {
+	v.activeAdd(net)
+	v.mbIdx.refile(net, v.nets[net])
+}
+
+// deactivate retires a finished net from the active list and the
+// index.
+func (v *View) deactivate(net int) {
+	v.activeRemove(net)
+	v.mbIdx.unfile(net, v.nets[net])
+}
+
 // NumLayers returns the layer count of network instance net.
 func (v *View) NumLayers(net int) int { return len(v.nets[net].cn.Layers) }
 
-// Layer returns the scheduling-table row for (net, layer).
-func (v *View) Layer(net, layer int) compiler.CompiledLayer {
-	return v.nets[net].cn.Layers[layer]
+// Layer returns the scheduling-table row for (net, layer). The row
+// belongs to the compiled network: callers must not modify it.
+func (v *View) Layer(net, layer int) *compiler.CompiledLayer {
+	return &v.nets[net].cn.Layers[layer]
 }
 
 // NetName returns the name of network instance net.
@@ -344,6 +369,11 @@ func (v *View) MBCycles(r MBRef) arch.Cycles {
 	return v.Layer(r.Net, r.Layer).MBCycles
 }
 
+// ClassOf returns the intensity class of the referenced MB's layer.
+func (v *View) ClassOf(r MBRef) MBClass {
+	return classOf(v.Layer(r.Net, r.Layer))
+}
+
 // MBBlocks returns the SRAM blocks the referenced MB allocates.
 func (v *View) MBBlocks(r MBRef) int {
 	return v.Layer(r.Net, r.Layer).MBBlocks
@@ -366,7 +396,7 @@ func (v *View) CBCycles(r CBRef) arch.Cycles {
 // for its blocks.
 func (v *View) IsMBIssuable(r MBRef) bool {
 	s := v.nets[r.Net]
-	l := s.cn.Layers[r.Layer]
+	l := &s.cn.Layers[r.Layer]
 	return s.arrived &&
 		s.mbIndeg[r.Layer] == 0 &&
 		r.Iter == s.mbIssued[r.Layer] &&

@@ -195,6 +195,11 @@ func (e *Engine) Restore(s *Snapshot) error {
 	}
 	v := e.v
 
+	// The issuable-MB index follows the active set: unfile the nets
+	// active now and refile the restored ones below.
+	for _, ni := range v.active {
+		v.mbIdx.unfile(ni, v.nets[ni])
+	}
 	copy(e.arena.ints, s.ints)
 	copy(e.arena.cycles, s.cycles)
 	copy(e.arena.chains, s.chains)
@@ -215,6 +220,9 @@ func (e *Engine) Restore(s *Snapshot) error {
 		st.finished = sn.finished
 	}
 	v.active = append(v.active[:0], s.active...)
+	for _, ni := range v.active {
+		v.mbIdx.refile(ni, v.nets[ni])
+	}
 
 	e.hostQ = append(e.hostQ[:0], s.hostQ...)
 	e.hostHead = s.hostHead
