@@ -7,8 +7,10 @@ GO ?= go
 # Throughput-critical benchmarks that gate CI (see cmd/aimt-benchjson
 # and testdata/bench_baseline.json). The EngineObs pair measures the
 # observability layer: Disabled is the instrumented-but-off path that
-# must stay free, Enabled the full emission cost.
-BENCH_PATTERN ?= BenchmarkSimulatorThroughput|BenchmarkServeStream|BenchmarkCandidateScan|BenchmarkEngineObs|BenchmarkServeOverload
+# must stay free, Enabled the full emission cost. BenchmarkServeStream
+# also selects ServeStreamTraced; RequestSpansBuild times span building
+# alone.
+BENCH_PATTERN ?= BenchmarkSimulatorThroughput|BenchmarkServeStream|BenchmarkCandidateScan|BenchmarkEngineObs|BenchmarkServeOverload|BenchmarkRequestSpansBuild
 
 .PHONY: check build test race vet lint fuzz-short bench benchall benchcheck bench-compare profile golden
 

@@ -5,10 +5,14 @@ import (
 	"testing"
 
 	"aimt/internal/analysis"
+	"aimt/internal/cluster"
 	"aimt/internal/metrics"
 	"aimt/internal/nn"
 	"aimt/internal/power"
+	"aimt/internal/rtrace"
 	"aimt/internal/sched"
+	"aimt/internal/serve"
+	"aimt/internal/sim"
 	"aimt/internal/workload"
 )
 
@@ -598,6 +602,64 @@ func BenchmarkServeStreamTraced(b *testing.B) {
 		sp := BuildRequestSpans(stream, res, "bench", col)
 		st.AddRun(sp)
 		spans = len(sp)
+	}
+	b.ReportMetric(float64(spans), "spans/op")
+}
+
+// BenchmarkRequestSpansBuild measures span building alone: a fixed
+// transformer stream is served once over 4 chips with one request-span
+// collector per chip, and each iteration merges the chip collectors
+// into stream coordinates and attributes every request — the work
+// cluster.Serve does after its chips finish.
+func BenchmarkRequestSpansBuild(b *testing.B) {
+	cfg := PaperConfig()
+	const chips = 4
+	classes := TransformerServingClasses()
+	opts := ServeStreamOptions{Requests: 2000, Seed: 7}
+	gaps, err := serve.LoadGaps(cfg, classes, opts, chips, []float64{0.9})
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts.MeanGap = gaps[0]
+	s, err := NewServeStream(cfg, classes, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec, err := ServeSchedulerByName("AI-MT")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cols := make([]*rtrace.Collector, chips)
+	res, err := cluster.Serve(cfg, s, spec, cluster.LeastWork{}, cluster.Options{
+		Chips: chips,
+		EngineTrace: func(c int) sim.Tracer {
+			cols[c] = rtrace.NewCollector(len(s.Nets))
+			return cols[c]
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	perChip := make([][]int, chips)
+	merged := &sim.Result{NetArrive: make([]Cycles, len(s.Nets)), NetFinish: make([]Cycles, len(s.Nets))}
+	for i, c := range res.Assignment {
+		li := len(perChip[c])
+		perChip[c] = append(perChip[c], i)
+		merged.NetArrive[i] = res.ChipResults[c].NetArrive[li]
+		merged.NetFinish[i] = res.ChipResults[c].NetFinish[li]
+	}
+	in := serve.TraceInput(s, merged, "bench")
+	in.Chip = res.Assignment
+	var spans int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gcol := rtrace.NewCollector(len(s.Nets))
+		for c, col := range cols {
+			if col != nil {
+				gcol.Merge(col, perChip[c])
+			}
+		}
+		spans = len(rtrace.Build(in, gcol))
 	}
 	b.ReportMetric(float64(spans), "spans/op")
 }

@@ -206,10 +206,15 @@ type Engine struct {
 	cbScratch []CBRef
 
 	// seen maps each distinct compiled network of the run to its
-	// totals while init summarizes the workload, and sizes holds the
+	// summary while init summarizes the workload, and sizes holds the
 	// workload's distinct MBBlocks values (see summarize).
-	seen  map[*compiler.CompiledNetwork]compiler.Stats
+	seen  map[*compiler.CompiledNetwork]netSummary
 	sizes []int
+
+	// labels holds each net's per-layer tracer labels on a traced run
+	// (its network's entry in seen), and is empty otherwise, so an
+	// untraced run carries no per-net label state.
+	labels [][]blockLabels
 
 	// runID increments at every init; snapshots record it so a restore
 	// into a re-initialized (or pooled-and-reused) engine is rejected.
@@ -278,7 +283,7 @@ func (e *Engine) init(cfg arch.Config, nets []*compiler.CompiledNetwork, sch Sch
 	if len(nets) == 0 {
 		return errors.New("sim: no networks")
 	}
-	totals, totalLayers, err := e.summarize(cfg, nets)
+	totals, totalLayers, err := e.summarize(cfg, nets, opts.Tracer != nil)
 	if err != nil {
 		return err
 	}
@@ -309,6 +314,12 @@ func (e *Engine) init(cfg arch.Config, nets []*compiler.CompiledNetwork, sch Sch
 		v.nets = append(v.nets, &e.states[i])
 	}
 	e.netPtrs = v.nets
+	e.labels = e.labels[:0]
+	if opts.Tracer != nil {
+		for _, cn := range nets {
+			e.labels = append(e.labels, e.seen[cn].labels)
+		}
+	}
 	v.mbRemaining = totals.SubLayers
 	v.cbTotal, v.mbTotal = totals.CBCycles, totals.MBCycles
 
@@ -395,21 +406,43 @@ func (e *Engine) init(cfg arch.Config, nets []*compiler.CompiledNetwork, sch Sch
 	return nil
 }
 
+// netSummary is what summarize keeps per distinct compiled network:
+// its totals and, on a traced run, its blocks' tracer labels.
+type netSummary struct {
+	stats  compiler.Stats
+	labels []blockLabels
+}
+
+// blockLabels holds one layer's tracer labels, built once per
+// distinct network so an event passes a string instead of
+// concatenating one. Index it with labelMB, labelCB or labelSplit.
+type blockLabels [3]string
+
+const (
+	labelMB = iota
+	labelCB
+	labelSplit
+)
+
 // summarize validates every distinct compiled network of the workload
 // once — a serving stream repeats a handful of networks thousands of
 // times — and returns the workload's totals and layer count, leaving
-// its distinct block sizes in e.sizes.
-func (e *Engine) summarize(cfg arch.Config, nets []*compiler.CompiledNetwork) (totals compiler.Stats, layers int, err error) {
+// its distinct block sizes in e.sizes. A traced run also gets each
+// distinct network's block labels.
+func (e *Engine) summarize(cfg arch.Config, nets []*compiler.CompiledNetwork, traced bool) (totals compiler.Stats, layers int, err error) {
 	if e.seen == nil {
-		e.seen = make(map[*compiler.CompiledNetwork]compiler.Stats)
+		e.seen = make(map[*compiler.CompiledNetwork]netSummary)
 	}
 	clear(e.seen)
 	e.sizes = e.sizes[:0]
 	for _, cn := range nets {
-		st, ok := e.seen[cn]
+		sum, ok := e.seen[cn]
 		if !ok {
 			if err := cn.Validate(); err != nil {
 				return totals, 0, err
+			}
+			if traced {
+				sum.labels = make([]blockLabels, len(cn.Layers))
 			}
 			for li := range cn.Layers {
 				l := &cn.Layers[li]
@@ -418,10 +451,14 @@ func (e *Engine) summarize(cfg arch.Config, nets []*compiler.CompiledNetwork) (t
 						cn.Name, l.Name, l.MBBlocks, cfg.WeightBlocks())
 				}
 				e.sizes = append(e.sizes, l.MBBlocks)
+				if traced {
+					sum.labels[li] = blockLabels{"MB:" + l.Name, "CB:" + l.Name, "CB(split):" + l.Name}
+				}
 			}
-			st = cn.Stats()
-			e.seen[cn] = st
+			sum.stats = cn.Stats()
+			e.seen[cn] = sum
 		}
+		st := sum.stats
 		totals.SubLayers += st.SubLayers
 		totals.CBCycles += st.CBCycles
 		totals.MBCycles += st.MBCycles
@@ -439,6 +476,7 @@ func (e *Engine) release() {
 	for i := range e.states {
 		e.states[i].cn = nil
 	}
+	clear(e.labels)
 	clear(e.seen)
 	for i := range e.res.NetNames {
 		e.res.NetNames[i] = ""
@@ -747,7 +785,7 @@ func (e *Engine) completeMB() error {
 	v.memBusy = false
 	e.res.MemBusy += l.MBCycles
 	e.res.MBCount++
-	e.trace("mem", "MB:", l.Name, r.Net, r.Layer, r.Iter, start, v.now)
+	e.trace("mem", labelMB, r.Net, r.Layer, r.Iter, start, v.now)
 	if v.om != nil {
 		v.om.mbDone.Inc()
 		v.om.memBusyC.Add(int64(l.MBCycles))
@@ -827,7 +865,7 @@ func (e *Engine) completeCB() error {
 	v.peBusy = false
 	e.res.PEBusy += v.curCBWork
 	e.res.CBCount++
-	e.trace("pe", "CB:", l.Name, r.Net, r.Layer, r.Iter, v.cbStart, v.now)
+	e.trace("pe", labelCB, r.Net, r.Layer, r.Iter, v.cbStart, v.now)
 
 	if err := v.buf.Consume(&s.chains[r.Layer], l.MBBlocks); err != nil {
 		return fmt.Errorf("sim: complete CB %+v: %w", r, err)
@@ -900,7 +938,7 @@ func (e *Engine) applySplit() error {
 	v.peBusy = false
 	e.res.PEBusy += executed
 	e.res.Splits++
-	e.trace("pe", "CB(split):", l.Name, r.Net, r.Layer, r.Iter, v.cbStart, v.now)
+	e.trace("pe", labelSplit, r.Net, r.Layer, r.Iter, v.cbStart, v.now)
 
 	if e.chk != nil {
 		if err := e.chk.cbSplit(r, v.cbStart, v.now, remaining); err != nil {
@@ -953,11 +991,13 @@ func (e *Engine) completeHost() error {
 	x := e.curHost
 	e.hostBusy = false
 	e.res.HostBusy += x.cycles
-	name := "host-in"
-	if x.output {
-		name = "host-out"
+	if e.opts.Tracer != nil {
+		name := "host-in"
+		if x.output {
+			name = "host-out"
+		}
+		e.opts.Tracer.Event("host", name, x.net, -1, -1, e.hostEnd-x.cycles, v.now)
 	}
-	e.trace("host", "", name, x.net, -1, -1, e.hostEnd-x.cycles, v.now)
 	if v.om != nil {
 		v.om.hostBusyC.Add(int64(x.cycles))
 	}
@@ -1045,14 +1085,12 @@ func (e *Engine) allDone() bool {
 	return e.hostHead == len(e.hostQ) && !e.hostBusy
 }
 
-// trace forwards one occupancy interval to the Tracer. The block
-// label is passed as prefix + name and concatenated only after the
-// nil check, so a run without a tracer never pays the string
-// allocation — this keeps the event hot loop allocation-free (see
-// BenchmarkSimulatorThroughput's allocs/op).
-func (e *Engine) trace(engineName, prefix, name string, net, layer, iter int, start, end arch.Cycles) {
+// trace forwards one block's occupancy interval to the Tracer with its
+// precomputed label (see summarize). The labels exist only on traced
+// runs, so they are read after the nil check.
+func (e *Engine) trace(engineName string, label, net, layer, iter int, start, end arch.Cycles) {
 	if e.opts.Tracer != nil {
-		e.opts.Tracer.Event(engineName, prefix+name, net, layer, iter, start, end)
+		e.opts.Tracer.Event(engineName, e.labels[net][layer][label], net, layer, iter, start, end)
 	}
 }
 
